@@ -21,10 +21,9 @@ vet:
 	$(GO) vet ./...
 
 # kmvet is the repo-specific analyzer (cmd/kmvet, DESIGN.md §6): the
-# per-function rules (load-path error wrapping, lock copies,
-# context-threaded searches, no library panics, no stdlib log) plus the
-# call-graph-aware concurrency rules (goroutinelifecycle, lockheld,
-# reachpanic, boundedalloc, closeerr). Suppress individual findings
+# per-function rules (load-path error wrapping, lock copies, no library
+# panics, no stdlib log) plus the call-graph-aware concurrency rules
+# (goroutinelifecycle, lockheld, reachpanic, boundedalloc, closeerr). Suppress individual findings
 # with `//kmvet:ignore <rule> <reason>` on the offending line (or the
 # line above); stale suppressions are themselves findings.
 kmvet:
@@ -62,16 +61,24 @@ obs-smoke:
 	$(GO) test -run='^TestObsSmoke$$' -count=1 ./server/...
 
 # Regression-gate smoke test: kmbenchdiff must pass a clean diff and
-# fail both fabricated regressions — 20% ns/read and 24% peak RSS
-# (fixtures in cmd/kmbenchdiff/testdata).
+# reject both fabricated regressions — 20% ns/read and 24% peak RSS
+# (fixtures in cmd/kmbenchdiff/testdata). A rejection counts only with
+# exit status 1 AND a FAIL: line: bad input (a missing fixture, say)
+# exits 2 and fails the smoke. The tool is built rather than `go run`,
+# which flattens every non-zero exit status to 1.
 benchdiff-smoke:
-	$(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_ok.json
-	@if $(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_regressed.json >/dev/null 2>&1; then \
-		echo "benchdiff-smoke: FAIL (regression fixture was not flagged)"; exit 1; \
-	else echo "benchdiff-smoke: regression fixture correctly rejected"; fi
-	@if $(GO) run ./cmd/kmbenchdiff cmd/kmbenchdiff/testdata/old.json cmd/kmbenchdiff/testdata/new_rss_regressed.json >/dev/null 2>&1; then \
-		echo "benchdiff-smoke: FAIL (RSS regression fixture was not flagged)"; exit 1; \
-	else echo "benchdiff-smoke: RSS regression fixture correctly rejected"; fi
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/kmbenchdiff" ./cmd/kmbenchdiff && \
+	td=cmd/kmbenchdiff/testdata && \
+	"$$bin/kmbenchdiff" $$td/old.json $$td/new_ok.json && \
+	for f in new_regressed new_rss_regressed; do \
+		out=$$("$$bin/kmbenchdiff" $$td/old.json $$td/$$f.json 2>&1); status=$$?; \
+		if [ $$status -ne 1 ] || ! printf '%s\n' "$$out" | grep -q '^FAIL:'; then \
+			printf '%s\n' "$$out"; \
+			echo "benchdiff-smoke: FAIL ($$f.json exited $$status; want 1 with a FAIL: line)"; exit 1; \
+		fi; \
+		echo "benchdiff-smoke: $$f.json correctly rejected (exit 1, FAIL: line)"; \
+	done
 
 # Sharded-pipeline smoke test: kmgen builds a multi-shard index file,
 # kmsearch loads it transparently and must agree with a monolithic

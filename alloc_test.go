@@ -5,20 +5,17 @@ import (
 	"testing"
 )
 
-// TestSearchMethodScratchZeroAlloc pins the tentpole property of the
-// scratch path: once the Scratch and destination slice are warm, a
-// SearchMethodScratch call performs zero heap allocations for every
-// BWT-path method. The pattern set deliberately mixes short patterns
-// (wide intervals, the structured M-tree machinery with memo traffic)
-// and longer ones (intervals below the structured threshold, the
-// small-interval walk).
+// TestSearchMethodScratchZeroAlloc pins the allocation contract of the
+// search primitive on every layout: once the Scratch and destination
+// slice are warm, a SearchMethodScratch call performs zero heap
+// allocations for every BWT-path method, whether the index is
+// standalone, sharded (all shards or a subset) or a relative tenant.
+// The pattern set deliberately mixes short patterns (wide intervals,
+// the structured M-tree machinery with memo traffic) and longer ones
+// (intervals below the structured threshold, the small-interval walk).
 func TestSearchMethodScratchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(411))
 	target := randomDNA(rng, 50000)
-	idx, err := New(target)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var pats [][]byte
 	for _, m := range []int{8, 12, 30, 80} {
 		p := rng.Intn(len(target) - m)
@@ -26,27 +23,30 @@ func TestSearchMethodScratchZeroAlloc(t *testing.T) {
 		pat[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 		pats = append(pats, pat)
 	}
-	for _, method := range []Method{AlgorithmA, AlgorithmANoPhi, BWTBaseline, STree} {
-		sc := NewScratch()
-		dst := make([]Match, 0, 4096)
-		// Warm up: grow every internal buffer (memo table, arenas,
-		// locate buffer) to its steady-state size.
-		for range 3 {
-			for _, p := range pats {
-				var err error
-				dst, _, err = idx.SearchMethodScratch(sc, dst[:0], p, 2, method)
-				if err != nil {
-					t.Fatal(err)
+	layouts, _ := testLayouts(t, rng, target)
+	for _, l := range layouts {
+		for _, method := range bwtMethods {
+			sc := NewScratch()
+			dst := make([]Match, 0, 4096)
+			// Warm up: grow every internal buffer (memo table, arenas,
+			// locate buffer) to its steady-state size.
+			for range 3 {
+				for _, p := range pats {
+					var err error
+					dst, _, err = l.search(sc, dst[:0], p, 2, method, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, p := range pats {
-				dst, _, _ = idx.SearchMethodScratch(sc, dst[:0], p, 2, method)
+			allocs := testing.AllocsPerRun(10, func() {
+				for _, p := range pats {
+					dst, _, _ = l.search(sc, dst[:0], p, 2, method, nil)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %v: AllocsPerRun = %v, want 0", l.name, method, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: AllocsPerRun = %v, want 0", method, allocs)
 		}
 	}
 }
@@ -72,11 +72,11 @@ func TestSearchMethodScratchMatchesSearchMethod(t *testing.T) {
 		}
 		k := rng.Intn(4)
 		method := []Method{AlgorithmA, AlgorithmANoPhi, BWTBaseline, STree}[trial%4]
-		want, wantStats, err := idx.SearchMethod(pat, k, method)
+		want, wantStats, err := SearchMethod(idx, pat, k, method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotStats, err := idx.SearchMethodScratch(sc, nil, pat, k, method)
+		got, gotStats, err := idx.SearchMethodScratch(sc, nil, pat, k, method, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestSearchMethodScratchAppends(t *testing.T) {
 	pat := append([]byte(nil), target[100:120]...)
 	sentinel := Match{Pos: -7, Mismatches: 99}
 	dst := []Match{sentinel}
-	dst, _, err = idx.SearchMethodScratch(NewScratch(), dst, pat, 1, AlgorithmA)
+	dst, _, err = idx.SearchMethodScratch(NewScratch(), dst, pat, 1, AlgorithmA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +118,6 @@ func TestSearchMethodScratchAppends(t *testing.T) {
 	for _, m := range dst[1:] {
 		if m.Pos < 0 {
 			t.Fatalf("appended match has invalid position: %+v", m)
-		}
-	}
-}
-
-// TestSearchMethodScratchRejectsNonBWTMethods pins the error contract
-// for methods without a scratch path.
-func TestSearchMethodScratchRejectsNonBWTMethods(t *testing.T) {
-	rng := rand.New(rand.NewSource(414))
-	idx, _ := New(randomDNA(rng, 300))
-	for _, method := range []Method{Amir, Cole, Online, Seed} {
-		if _, _, err := idx.SearchMethodScratch(NewScratch(), nil, []byte("acgtacgt"), 1, method); err == nil {
-			t.Errorf("%v: expected an error from the scratch path", method)
 		}
 	}
 }

@@ -55,13 +55,13 @@ func reads(b *testing.B, c *bench.Corpus, length, count int) [][]byte {
 func timeReads(b *testing.B, c *bench.Corpus, rs [][]byte, k int, m bwtmatch.Method) {
 	b.Helper()
 	// Warm lazy structures (Cole's suffix tree) outside the timing.
-	if _, _, err := c.Index.SearchMethod(rs[0], k, m); err != nil {
+	if _, _, err := bwtmatch.SearchMethod(c.Index, rs[0], k, m); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rs {
-			if _, _, err := c.Index.SearchMethod(r, k, m); err != nil {
+			if _, _, err := bwtmatch.SearchMethod(c.Index, r, k, m); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -175,7 +175,7 @@ func BenchmarkFig13_OccRate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, r := range rs {
-					if _, err := idx.Search(r, 5); err != nil {
+					if _, err := bwtmatch.Search(idx, r, 5); err != nil {
 						b.Fatal(err)
 					}
 				}

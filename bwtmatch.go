@@ -11,15 +11,14 @@ import (
 	"bwtmatch/internal/core"
 	"bwtmatch/internal/fmindex"
 	"bwtmatch/internal/kerrors"
-	"bwtmatch/internal/naive"
 	"bwtmatch/internal/obs"
 	"bwtmatch/internal/seedext"
 	"bwtmatch/internal/suffixtree"
 	"bwtmatch/internal/wildcard"
 )
 
-// Method selects the matching algorithm for SearchMethod. The zero value
-// is the paper's Algorithm A.
+// Method selects the matching algorithm of a search. The zero value is
+// the paper's Algorithm A.
 type Method int
 
 const (
@@ -175,120 +174,17 @@ func (x *Index) targetText() []byte {
 // SizeBytes estimates the resident size of the BWT index structures.
 func (x *Index) SizeBytes() int { return x.searcher.Index().SizeBytes() }
 
-// Search finds all occurrences of pattern with at most k mismatches using
-// Algorithm A, sorted by position.
-func (x *Index) Search(pattern []byte, k int) ([]Match, error) {
-	m, _, err := x.SearchMethod(pattern, k, AlgorithmA)
-	return m, err
-}
-
-// Count returns only the number of k-mismatch occurrences.
-func (x *Index) Count(pattern []byte, k int) (int, error) {
-	m, err := x.Search(pattern, k)
-	return len(m), err
-}
-
-// Tracer receives per-query telemetry from SearchMethodTraced: phase
+// Tracer receives per-query telemetry from the search primitive: phase
 // spans (phi, traverse, locate) plus one event per unit of the paper's
 // work measures (M-tree leaves, merges, fallbacks). internal/obs.Recorder
 // is the in-repo implementation; a nil Tracer costs nothing.
 type Tracer = obs.Tracer
 
-// SearchMethod runs one of the implemented matchers and reports work
-// statistics alongside the matches.
-func (x *Index) SearchMethod(pattern []byte, k int, method Method) ([]Match, Stats, error) {
-	return x.SearchMethodTraced(pattern, k, method, nil)
-}
-
-// SearchMethodTraced is SearchMethod with per-query telemetry. For the
-// BWT-path methods (AlgorithmA, BWTBaseline, STree, AlgorithmANoPhi) the
-// tracer observes the full phase timeline and per-event work counters;
-// the other baselines run inside a single span named after the method.
+// SearchMethodTraced runs the search primitive with a pooled Scratch and
+// returns the matches in a fresh slice; tr may be nil. See
+// SearchMethodScratch for the telemetry contract.
 func (x *Index) SearchMethodTraced(pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
-	var st Stats
-	p, err := alphabet.Encode(pattern)
-	if err != nil {
-		return nil, st, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	if len(p) == 0 {
-		return nil, st, fmt.Errorf("%w: empty pattern", ErrInput)
-	}
-	if k < 0 {
-		return nil, st, fmt.Errorf("%w: negative k", ErrInput)
-	}
-	if cm, ok := coreMethods[method]; ok {
-		sc := scratchPool.Get().(*Scratch)
-		cms, cs, err := x.searcher.FindScratch(sc.core, sc.cms[:0], p, k, cm, tr)
-		sc.cms = cms
-		if err != nil {
-			scratchPool.Put(sc)
-			return nil, st, err
-		}
-		st.fromCore(cs)
-		out := convertCore(cms)
-		scratchPool.Put(sc)
-		return out, st, nil
-	}
-	if tr != nil {
-		tr.Begin(method.String())
-		defer tr.End()
-	}
-	switch method {
-	case Amir:
-		x.amirOnce.Do(func() { x.amirM = amir.New(x.targetText()) })
-		ms, as, err := x.amirM.Find(p, k)
-		if err != nil {
-			return nil, st, fmt.Errorf("%w: %v", ErrInput, err)
-		}
-		st.Candidates = as.Candidates
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Pos: int(m.Pos), Mismatches: m.Mismatches}
-		}
-		return out, st, nil
-	case Cole:
-		x.coleOnce.Do(func() { x.coleTree, x.coleErr = suffixtree.Build(x.targetText()) })
-		if x.coleErr != nil {
-			return nil, st, x.coleErr
-		}
-		pos, visited := x.coleTree.FindK(p, k)
-		st.Visited = visited
-		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-		out := make([]Match, len(pos))
-		text := x.targetText()
-		for i, q := range pos {
-			out[i] = Match{
-				Pos:        int(q),
-				Mismatches: naive.Hamming(text[q:int(q)+len(p)], p, len(p)),
-			}
-		}
-		return out, st, nil
-	case Seed:
-		x.seedOnce.Do(func() { x.seedM = seedext.New(x.searcher.Index(), x.targetText()) })
-		ms, ss, err := x.seedM.Find(p, k)
-		if err != nil {
-			return nil, st, fmt.Errorf("%w: %v", ErrInput, err)
-		}
-		st.Candidates = ss.Candidates
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{Pos: int(m.Pos), Mismatches: m.Mismatches}
-		}
-		return out, st, nil
-	case Online:
-		lv := naive.NewLandauVishkin(x.targetText(), p)
-		pos := lv.Find(k)
-		out := make([]Match, len(pos))
-		for i, q := range pos {
-			out[i] = Match{
-				Pos:        int(q),
-				Mismatches: lv.Mismatches(int(q), k),
-			}
-		}
-		return out, st, nil
-	default:
-		return nil, st, fmt.Errorf("%w: unknown method %v", ErrInput, method)
-	}
+	return searchPooled(x, pattern, k, method, tr)
 }
 
 // MEM is one maximal exact match of a pattern: pattern[Start:Start+Len)
@@ -330,45 +226,6 @@ func (x *Index) MEMs(pattern []byte, minLen int) ([]MEM, error) {
 		out[i] = MEM{Start: m.Start, Len: m.Len, Positions: positions}
 	}
 	return out, nil
-}
-
-// SearchBest finds the occurrences with the smallest Hamming distance not
-// exceeding maxK, by iterative deepening: k = 0, 1, … until something
-// matches. This is the question a read aligner actually asks ("where does
-// this read fit best?"), and deepening is cheap here because Algorithm
-// A's φ bound prunes hopeless budgets almost immediately. It returns the
-// distance found and the matches at exactly that distance, or (-1, nil)
-// when nothing matches within maxK.
-func (x *Index) SearchBest(pattern []byte, maxK int) (int, []Match, error) {
-	if maxK < 0 {
-		return -1, nil, fmt.Errorf("%w: negative maxK", ErrInput)
-	}
-	for k := 0; k <= maxK; k++ {
-		matches, err := x.Search(pattern, k)
-		if err != nil {
-			return -1, nil, err
-		}
-		if len(matches) == 0 {
-			continue
-		}
-		// Search(k) returns every occurrence with distance <= k; keep the
-		// minimum stratum (all equal to k on the first non-empty round,
-		// but guard against future search relaxations).
-		best := matches[0].Mismatches
-		for _, m := range matches {
-			if m.Mismatches < best {
-				best = m.Mismatches
-			}
-		}
-		out := matches[:0:0]
-		for _, m := range matches {
-			if m.Mismatches == best {
-				out = append(out, m)
-			}
-		}
-		return best, out, nil
-	}
-	return -1, nil, nil
 }
 
 // wildcardRank is the internal marker for don't-care positions; it lies
@@ -443,7 +300,9 @@ func (x *Index) MTreeLeaves(pattern []byte, k int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInput, err)
 	}
-	cs, err := x.searcher.CountLeaves(p, k)
+	sc := scratchPool.Get().(*Scratch)
+	cs, err := x.searcher.CountLeaves(sc.core, p, k)
+	scratchPool.Put(sc)
 	if err != nil {
 		return 0, err
 	}
@@ -456,12 +315,4 @@ var coreMethods = map[Method]core.Method{
 	BWTBaseline:     core.MethodSTreePhi,
 	STree:           core.MethodSTree,
 	AlgorithmANoPhi: core.MethodMTreeNoPhi,
-}
-
-func convertCore(ms []core.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Pos: int(m.Pos), Mismatches: m.Mismatches}
-	}
-	return out
 }

@@ -27,7 +27,7 @@ func TestQuickstartExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matches, err := idx.Search([]byte("aaaaacaaac"), 4)
+	matches, err := Search(idx, []byte("aaaaacaaac"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAllMethodsAgree(t *testing.T) {
 			}
 			var ref []Match
 			for mi, method := range allMethods {
-				got, _, err := idx.SearchMethod(pattern, k, method)
+				got, _, err := SearchMethod(idx, pattern, k, method)
 				if err != nil {
 					t.Fatalf("%v: %v", method, err)
 				}
@@ -96,7 +96,7 @@ func TestSearchAgainstOracle(t *testing.T) {
 		pattern := randomDNA(rng, 5+rng.Intn(15))
 		pr, _ := alphabet.Encode(pattern)
 		k := rng.Intn(3)
-		got, err := idx.Search(pattern, k)
+		got, err := Search(idx, pattern, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,16 +120,16 @@ func TestValidation(t *testing.T) {
 		t.Error("dirty target accepted")
 	}
 	idx, _ := New([]byte("acgtacgt"))
-	if _, err := idx.Search([]byte("aNg"), 1); err == nil {
+	if _, err := Search(idx, []byte("aNg"), 1); err == nil {
 		t.Error("dirty pattern accepted")
 	}
-	if _, err := idx.Search(nil, 1); err == nil {
+	if _, err := Search(idx, nil, 1); err == nil {
 		t.Error("empty pattern accepted")
 	}
-	if _, err := idx.Search([]byte("acg"), -1); err == nil {
+	if _, err := Search(idx, []byte("acg"), -1); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, _, err := idx.SearchMethod([]byte("acg"), 1, Method(77)); err == nil {
+	if _, _, err := SearchMethod(idx, []byte("acg"), 1, Method(77)); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -143,12 +143,12 @@ func TestSanitize(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	idx, _ := New([]byte("acagacacaga"))
-	n, err := idx.Count([]byte("aca"), 0)
+	ms, err := Search(idx, []byte("aca"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Errorf("Count = %d, want 3", n)
+	if len(ms) != 3 {
+		t.Errorf("%d matches, want 3", len(ms))
 	}
 }
 
@@ -180,8 +180,8 @@ func TestOptions(t *testing.T) {
 		t.Errorf("sparse index not smaller: %d vs %d", small.SizeBytes(), big.SizeBytes())
 	}
 	pattern := randomDNA(rng, 25)
-	a, _ := small.Search(pattern, 2)
-	b, _ := big.Search(pattern, 2)
+	a, _ := Search(small, pattern, 2)
+	b, _ := Search(big, pattern, 2)
 	if len(a) != len(b) {
 		t.Error("options changed results")
 	}
@@ -225,7 +225,7 @@ func TestEndToEndReadMapping(t *testing.T) {
 		if r.Errors > k {
 			continue
 		}
-		matches, err := idx.Search(alphabet.Decode(r.Seq), k)
+		matches, err := Search(idx, alphabet.Decode(r.Seq), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestSearchBest(t *testing.T) {
 		for f := 0; f < flips; f++ {
 			pattern[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 		}
-		best, matches, err := idx.SearchBest(pattern, 6)
+		best, matches, err := SearchBest(idx, pattern, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,24 +338,24 @@ func TestSearchBest(t *testing.T) {
 		}
 		// No stratum below best may exist.
 		if best > 0 {
-			lower, _ := idx.Search(pattern, best-1)
+			lower, _ := Search(idx, pattern, best-1)
 			if len(lower) != 0 {
 				t.Fatalf("found matches below reported best %d", best)
 			}
 		}
 	}
 	// Nothing within budget.
-	if best, ms, err := idx.SearchBest([]byte("a"), 0); err != nil || best != 0 || len(ms) == 0 {
+	if best, ms, err := SearchBest(idx, []byte("a"), 0); err != nil || best != 0 || len(ms) == 0 {
 		t.Fatalf("single-char best: %d %v %v", best, ms, err)
 	}
-	if _, _, err := idx.SearchBest([]byte("acg"), -1); err == nil {
+	if _, _, err := SearchBest(idx, []byte("acg"), -1); err == nil {
 		t.Error("negative maxK accepted")
 	}
 }
 
 func TestSearchBestNoMatch(t *testing.T) {
 	idx, _ := New([]byte("aaaaaaaaaaaaaaaa"))
-	best, ms, err := idx.SearchBest([]byte("ttttttttt"), 2)
+	best, ms, err := SearchBest(idx, []byte("ttttttttt"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +402,12 @@ func TestQuickAllMethods(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, _, err := idx.SearchMethod(pattern, k, AlgorithmA)
+		ref, _, err := SearchMethod(idx, pattern, k, AlgorithmA)
 		if err != nil {
 			return false
 		}
 		for _, method := range allMethods[1:] {
-			got, _, err := idx.SearchMethod(pattern, k, method)
+			got, _, err := SearchMethod(idx, pattern, k, method)
 			if err != nil || len(got) != len(ref) {
 				return false
 			}

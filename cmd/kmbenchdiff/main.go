@@ -15,13 +15,17 @@
 // old build exceeds one millisecond; peak RSS gates when it grows past
 // the threshold percent AND by more than 1 MiB absolute. The
 // construction phase breakdown (sa/bwt/occ/pack) and the
-// streaming-build figures are printed for diagnosis only. The exit
-// status is non-zero when any gated quantity regressed by more than
-// -threshold percent (default 10).
+// streaming-build figures are printed for diagnosis only.
+//
+// Exit status: 0 when nothing regressed, 1 when any gated quantity
+// regressed by more than -threshold percent (default 10) — always
+// after its FAIL: lines are printed — and 2 for usage errors and for
+// reports that are missing, unreadable, malformed or share no cells.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +92,24 @@ func main() {
 	}
 	if err := run(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold); err != nil {
 		fmt.Fprintf(os.Stderr, "kmbenchdiff: %v\n", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
+	}
+}
+
+// errRegressed marks run's error when the diff itself succeeded and
+// found a regression; every other error is bad input.
+var errRegressed = errors.New("regressed")
+
+// exitCode maps run's error to the process exit status: 1 for a
+// regression, 2 for anything that kept the diff from being made.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errRegressed):
+		return 1
+	default:
+		return 2
 	}
 }
 
@@ -202,7 +223,7 @@ func run(w io.Writer, oldPath, newPath string, threshold float64) error {
 			fmt.Fprintln(w, "FAIL:", r)
 		}
 		fmt.Fprintf(w, "summary: %d cell(s) regressed%s\n", len(regressions), rssNote)
-		return fmt.Errorf("%d cell(s) regressed more than %.0f%%", len(regressions), threshold)
+		return fmt.Errorf("%w: %d cell(s) more than %.0f%%", errRegressed, len(regressions), threshold)
 	}
 	fmt.Fprintf(w, "ok: %d cells compared, none regressed more than %.0f%%%s\n", matched, threshold, rssNote)
 	return nil

@@ -63,6 +63,23 @@ func TestDiffRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestDiffExitCodes pins the exit-status contract the Makefile's
+// benchdiff-smoke relies on: a regression exits 1, while a missing
+// report is bad input and exits 2, so a lost fixture can never pass
+// as a correctly rejected regression.
+func TestDiffExitCodes(t *testing.T) {
+	var out strings.Builder
+	if got := exitCode(run(&out, td("old.json"), td("new_ok.json"), 10)); got != 0 {
+		t.Errorf("clean diff: exit %d, want 0", got)
+	}
+	if got := exitCode(run(&out, td("old.json"), td("new_regressed.json"), 10)); got != 1 {
+		t.Errorf("regression: exit %d, want 1", got)
+	}
+	if got := exitCode(run(&out, td("old.json"), td("nope.json"), 10)); got != 2 {
+		t.Errorf("missing report: exit %d, want 2", got)
+	}
+}
+
 // TestDiffFailsOnLocateRegression: a cell whose total ns/read held
 // steady but whose locate phase doubled must still fail the gate.
 func TestDiffFailsOnLocateRegression(t *testing.T) {

@@ -39,16 +39,6 @@ import (
 	"bwtmatch/server/client"
 )
 
-var methods = map[string]bwtmatch.Method{
-	"a":      bwtmatch.AlgorithmA,
-	"bwt":    bwtmatch.BWTBaseline,
-	"stree":  bwtmatch.STree,
-	"amir":   bwtmatch.Amir,
-	"cole":   bwtmatch.Cole,
-	"seed":   bwtmatch.Seed,
-	"online": bwtmatch.Online,
-}
-
 func main() {
 	genomePath := flag.String("genome", "", "genome file (FASTA or one line of acgt)")
 	indexPath := flag.String("index", "", "load a saved index instead of -genome")
@@ -64,9 +54,9 @@ func main() {
 	buildP := flag.Int("build-p", 1, "parallel workers for index construction (-g path only)")
 	flag.Parse()
 
-	method, ok := methods[*methodName]
-	if !ok {
-		fatal(fmt.Errorf("unknown method %q", *methodName))
+	method, err := server.ParseMethod(*methodName)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *serverURL != "" {
@@ -83,7 +73,6 @@ func main() {
 	// accepted (LoadAnyFile dispatches on the container magic), and the
 	// whole search path below is layout-agnostic.
 	var idx bwtmatch.Matcher
-	var err error
 	start := time.Now()
 	switch {
 	case *indexPath != "":
@@ -143,8 +132,7 @@ func main() {
 		queries[i] = bwtmatch.Query{ID: rec.ID, Pattern: clean, K: *k}
 	}
 	// Thread an interrupt-aware context into the batch so ^C / SIGTERM
-	// stops scheduling new reads instead of orphaning the workers
-	// (kmvet: ctxsearch).
+	// stops scheduling new reads instead of orphaning the workers.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	searchStart := time.Now()

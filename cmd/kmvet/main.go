@@ -1,5 +1,5 @@
 // Command kmvet runs the repo-specific static analyzer over the module:
-// ten rules (see `kmvet -rules` and DESIGN.md §6) that machine-enforce
+// nine rules (see `kmvet -rules` and DESIGN.md §6) that machine-enforce
 // the correctness disciplines of the index load paths and the server's
 // concurrent state, including the call-graph-aware concurrency rules
 // (lockheld, reachpanic, goroutinelifecycle). It prints one

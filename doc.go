@@ -21,14 +21,18 @@
 //
 //	idx, err := bwtmatch.New([]byte("ccacacagaagcc"))
 //	if err != nil { ... }
-//	matches, err := idx.Search([]byte("aaaaacaaac"), 4)
+//	matches, err := bwtmatch.Search(idx, []byte("aaaaacaaac"), 4)
 //	// matches[0].Pos == 2, matches[0].Mismatches == 4
 //
 // Inputs are DNA over {a, c, g, t} (case-insensitive). Use
 // bwtmatch.Sanitize to clean sequences containing ambiguity codes first.
 //
-// Bulk workloads go through MapAll (or MapAllContext for per-request
-// cancellation); built indexes persist with Save/Load. The server
-// subpackage serves saved indexes over HTTP as a long-running daemon
-// (cmd/kmserved).
+// Every index layout (Index, ShardedIndex, RelativeIndex) implements one
+// search, SearchMethodScratch, which takes any Method, a reusable
+// Scratch and an optional Tracer. Search, SearchMethod and SearchBest
+// are free functions over the Matcher interface built on it, and bulk
+// workloads go through MapAllContext, which runs a batch across worker
+// goroutines under a cancellable context. Built indexes persist with
+// Save/Load. The server subpackage serves saved indexes over HTTP as a
+// long-running daemon (cmd/kmserved).
 package bwtmatch

@@ -9,12 +9,12 @@ import (
 
 // The paper's introductory example (§I): r = aaaaacaaac occurs in
 // s = ccacacagaagcc at 1-based position 3 with exactly 4 mismatches.
-func ExampleIndex_Search() {
+func ExampleSearch() {
 	idx, err := bwtmatch.New([]byte("ccacacagaagcc"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	matches, err := idx.Search([]byte("aaaaacaaac"), 4)
+	matches, err := bwtmatch.Search(idx, []byte("aaaaacaaac"), 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,13 +25,13 @@ func ExampleIndex_Search() {
 	// pos 2, 4 mismatches
 }
 
-func ExampleIndex_SearchMethod() {
+func ExampleSearchMethod() {
 	idx, err := bwtmatch.New([]byte("acagacatacagata"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, method := range []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.Amir, bwtmatch.Cole} {
-		matches, _, err := idx.SearchMethod([]byte("acagaca"), 2, method)
+		matches, _, err := bwtmatch.SearchMethod(idx, []byte("acagaca"), 2, method)
 		if err != nil {
 			log.Fatal(err)
 		}

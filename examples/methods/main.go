@@ -50,7 +50,7 @@ func main() {
 		var matches, steps, leaves int
 		start := time.Now()
 		for _, r := range reads {
-			ms, st, err := idx.SearchMethod(alphabet.Decode(r.Seq), *k, method)
+			ms, st, err := bwtmatch.SearchMethod(idx, alphabet.Decode(r.Seq), *k, method)
 			if err != nil {
 				log.Fatal(err)
 			}

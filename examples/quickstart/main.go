@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	matches, err := idx.Search(pattern, 4)
+	matches, err := bwtmatch.Search(idx, pattern, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

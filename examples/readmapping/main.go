@@ -53,7 +53,7 @@ func main() {
 	start = time.Now()
 	for _, r := range reads {
 		seq := append([]byte(nil), r.Seq...)
-		matches, err := idx.Search(alphabet.Decode(seq), *k)
+		matches, err := bwtmatch.Search(idx, alphabet.Decode(seq), *k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func main() {
 		if len(matches) == 0 {
 			// Try the other strand.
 			rc := alphabet.ReverseComplement(append([]byte(nil), r.Seq...))
-			matches, err = idx.Search(alphabet.Decode(rc), *k)
+			matches, err = bwtmatch.Search(idx, alphabet.Decode(rc), *k)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func main() {
 	// exactly what the k-mismatch search surfaces.
 	probe := append([]byte(nil), text[len(text)/2:len(text)/2+60]...)
 
-	matches, err := idx.Search(probe, *k)
+	matches, err := bwtmatch.Search(idx, probe, *k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func FuzzSearchMethods(f *testing.F) {
 		pr, _ := alphabet.Encode(cleanP)
 		want := naive.Find(tr, pr, k)
 		for _, method := range []Method{AlgorithmA, BWTBaseline, Seed} {
-			got, _, err := idx.SearchMethod(cleanP, k, method)
+			got, _, err := SearchMethod(idx, cleanP, k, method)
 			if err != nil {
 				t.Fatalf("%v: %v", method, err)
 			}
@@ -88,8 +88,8 @@ func FuzzSaveLoad(f *testing.F) {
 		if len(probe) > 10 {
 			probe = probe[:10]
 		}
-		a, _ := idx.Search(probe, 1)
-		b, _ := loaded.Search(probe, 1)
+		a, _ := Search(idx, probe, 1)
+		b, _ := Search(loaded, probe, 1)
 		if len(a) != len(b) {
 			t.Fatalf("results differ after reload: %d vs %d", len(a), len(b))
 		}
@@ -147,7 +147,7 @@ func FuzzLoadRoundTrip(f *testing.F) {
 		if err := idx.searcher.Index().CheckInvariants(); err != nil {
 			t.Fatalf("loaded index fails invariants: %v", err)
 		}
-		if _, err := idx.Search([]byte("acgt"), 1); err != nil {
+		if _, err := Search(idx, []byte("acgt"), 1); err != nil {
 			t.Fatalf("loaded index cannot search: %v", err)
 		}
 	})
@@ -220,7 +220,7 @@ func FuzzLoadRelativeRoundTrip(f *testing.F) {
 			if err := rx.searcher.Index().CheckInvariants(); err != nil {
 				t.Fatalf("loaded relative index fails invariants: %v", err)
 			}
-			if _, err := rx.Search([]byte("acgt"), 1); err != nil {
+			if _, err := Search(rx, []byte("acgt"), 1); err != nil {
 				t.Fatalf("loaded relative index cannot search: %v", err)
 			}
 		}
@@ -283,7 +283,7 @@ func FuzzLoadShardedRoundTrip(f *testing.F) {
 		if err := x.CheckInvariants(); err != nil {
 			t.Fatalf("loaded sharded index fails invariants: %v", err)
 		}
-		if _, err := x.Search([]byte("acgt"), 1); err != nil && !errors.Is(err, ErrInput) {
+		if _, err := Search(x, []byte("acgt"), 1); err != nil && !errors.Is(err, ErrInput) {
 			t.Fatalf("loaded sharded index cannot search: %v", err)
 		}
 	})

@@ -12,9 +12,6 @@
 //   - copylocks: no value copies of structs that contain a sync.Mutex
 //     or sync.RWMutex (parameters, results, assignments, call
 //     arguments, range clauses).
-//   - ctxsearch: outside the root bwtmatch package, searches must go
-//     through MapAllContext with a caller-scoped context; bare MapAll
-//     is reserved for the library's own wrapper.
 //   - nopanic: no panic in library (non-main) packages, except in
 //     kminvariants-tagged invariants*.go files where assertion failure
 //     is the point.
@@ -23,6 +20,10 @@
 //     logs through an injected
 //     *slog.Logger or writes to a caller-supplied io.Writer, keeping
 //     stdout machine-readable and the log stream structured.
+//
+// The other five rules (goroutinelifecycle, lockheld, reachpanic,
+// boundedalloc, closeerr — see Rules) walk the module call graph or the
+// decode and save paths; `kmvet -rules` prints all nine.
 //
 // Each rule reports findings as file:line: [rule] message; cmd/kmvet
 // exits nonzero when any fire.

@@ -136,7 +136,7 @@ func sortKeys(ks []key) {
 // fixture package, at exactly the marked positions.
 func TestRuleFixtures(t *testing.T) {
 	for _, name := range []string{
-		"badwrap", "badlock", "badctx", "badpanic", "badlog",
+		"badwrap", "badlock", "badpanic", "badlog",
 		"badgoroutine", "badlockheld", "badreachpanic", "badboundedalloc", "badcloseerr",
 	} {
 		t.Run(name, func(t *testing.T) { checkFixture(t, name) })
@@ -149,12 +149,12 @@ func TestCleanFixture(t *testing.T) {
 	checkFixture(t, "clean")
 }
 
-// TestRulesCatalogue pins the rule set: ten rules, stable names,
+// TestRulesCatalogue pins the rule set: nine rules, stable names,
 // non-empty docs (kmvet -rules prints these).
 func TestRulesCatalogue(t *testing.T) {
 	rules := analyze.Rules()
 	want := []string{
-		"wrapformat", "copylocks", "ctxsearch", "nopanic", "nostdlog",
+		"wrapformat", "copylocks", "nopanic", "nostdlog",
 		"goroutinelifecycle", "lockheld", "reachpanic", "boundedalloc", "closeerr",
 	}
 	if len(rules) != len(want) {

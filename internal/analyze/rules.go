@@ -39,11 +39,6 @@ func Rules() []Rule {
 			Run:  perPackage(runCopyLocks),
 		},
 		{
-			Name: "ctxsearch",
-			Doc:  "outside the root bwtmatch package, call MapAllContext/MapShardsContext with the caller's context instead of bare MapAll/MapShards, so drains and deadlines propagate into batches",
-			Run:  perPackage(runCtxSearch),
-		},
-		{
 			Name: "nopanic",
 			Doc:  "no panic in library (non-main) packages; assertions belong in kminvariants-tagged invariants*.go files, everything else returns an error",
 			Run:  perPackage(runNoPanic),

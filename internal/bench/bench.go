@@ -117,7 +117,7 @@ func TimeMethod(idx *bwtmatch.Index, reads [][]byte, k int, method bwtmatch.Meth
 	start := time.Now()
 	total := 0
 	for _, r := range reads {
-		ms, _, err := idx.SearchMethod(r, k, method)
+		ms, _, err := bwtmatch.SearchMethod(idx, r, k, method)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"bwtmatch"
 )
 
 // tinyConfig keeps harness tests fast: ~64 KiB largest genome, few reads.
@@ -47,7 +49,7 @@ func TestBuildCorpusAndReads(t *testing.T) {
 	}
 	// Reads must be mappable back into the genome with a loose budget.
 	for _, r := range reads {
-		ms, err := c.Index.Search(r, 6)
+		ms, err := bwtmatch.Search(c.Index, r, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -229,7 +229,7 @@ func streamBuildDemo(text []byte) (ns, rss int64, err error) {
 func timeCell(idx bwtmatch.Matcher, reads [][]byte, k int, m bwtmatch.Method, rounds int) (JSONResult, error) {
 	cell := JSONResult{Method: m.String(), K: k, ReadLen: len(reads[0]), Reads: len(reads)}
 	// Warm lazy structures outside the timing.
-	if _, _, err := idx.SearchMethod(reads[0], k, m); err != nil {
+	if _, _, err := bwtmatch.SearchMethod(idx, reads[0], k, m); err != nil {
 		return cell, err
 	}
 	best := time.Duration(-1)
@@ -238,7 +238,7 @@ func timeCell(idx bwtmatch.Matcher, reads [][]byte, k int, m bwtmatch.Method, ro
 		matches := 0
 		start := time.Now()
 		for _, rd := range reads {
-			ms, st, err := idx.SearchMethod(rd, k, m)
+			ms, st, err := bwtmatch.SearchMethod(idx, rd, k, m)
 			if err != nil {
 				return cell, err
 			}

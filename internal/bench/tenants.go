@@ -152,11 +152,11 @@ func RunTenants(w io.Writer, cfg Config, tenants int, divergencePct float64, rel
 		for i, rx := range serving {
 			for _, p := range probes {
 				for _, k := range tenantProbeKs {
-					got, _, err := rx.SearchMethod(p, k, bwtmatch.AlgorithmA)
+					got, _, err := bwtmatch.SearchMethod(rx, p, k, bwtmatch.AlgorithmA)
 					if err != nil {
 						return err
 					}
-					want, _, err := standalone[i].SearchMethod(p, k, bwtmatch.AlgorithmA)
+					want, _, err := bwtmatch.SearchMethod(standalone[i], p, k, bwtmatch.AlgorithmA)
 					if err != nil {
 						return err
 					}

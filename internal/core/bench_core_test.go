@@ -35,10 +35,11 @@ func benchWorkload(b *testing.B) (*Searcher, [][]byte) {
 
 func benchMethod(b *testing.B, method Method, k int) {
 	s, reads := benchWorkload(b)
+	sc := NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range reads {
-			if _, _, err := s.Find(r, k, method); err != nil {
+			if _, _, err := s.FindScratch(sc, nil, r, k, method, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,6 +10,11 @@ import (
 	"bwtmatch/internal/naive"
 )
 
+// find runs one search on a fresh Scratch.
+func find(s *Searcher, pattern []byte, k int, method Method) ([]Match, Stats, error) {
+	return s.FindScratch(NewScratch(), nil, pattern, k, method, nil)
+}
+
 func randomRanks(rng *rand.Rand, n int) []byte {
 	t := make([]byte, n)
 	for i := range t {
@@ -57,7 +62,7 @@ func TestPaperIntroExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, method := range []Method{MethodSTree, MethodSTreePhi, MethodMTree, MethodMTreeNoPhi} {
-		got, _, err := s.Find(pattern, 4, method)
+		got, _, err := find(s, pattern, 4, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +87,7 @@ func TestPaperSTreeExample(t *testing.T) {
 	pattern, _ := alphabet.Encode([]byte("tcaca"))
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 	for _, method := range []Method{MethodSTree, MethodSTreePhi, MethodMTree, MethodMTreeNoPhi} {
-		got, _, err := s.Find(pattern, 2, method)
+		got, _, err := find(s, pattern, 2, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +123,7 @@ func TestAllMethodsAgainstOracleRandom(t *testing.T) {
 			}
 			want := naive.Find(text, pattern, k)
 			for _, method := range []Method{MethodSTree, MethodSTreePhi, MethodMTree, MethodMTreeNoPhi} {
-				got, _, err := s.Find(pattern, k, method)
+				got, _, err := find(s, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +155,7 @@ func TestMTreeAgainstOracleRepetitiveText(t *testing.T) {
 			k := rng.Intn(5)
 			pattern := mutate(rng, text, rng.Intn(len(text)-m+1), m, rng.Intn(k+2))
 			want := naive.Find(text, pattern, k)
-			got, stats, err := s.Find(pattern, k, MethodMTree)
+			got, stats, err := find(s, pattern, k, MethodMTree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +179,7 @@ func TestMTreeQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := s.Find(pattern, k, MethodMTree)
+		got, _, err := find(s, pattern, k, MethodMTree)
 		if err != nil {
 			return false
 		}
@@ -202,7 +207,7 @@ func TestKZeroIsExactMatch(t *testing.T) {
 		p := rng.Intn(480)
 		pattern := text[p : p+12]
 		for _, method := range []Method{MethodSTree, MethodSTreePhi, MethodMTree, MethodMTreeNoPhi} {
-			got, _, err := s.Find(pattern, 0, method)
+			got, _, err := find(s, pattern, 0, method)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +224,7 @@ func TestKAtLeastM(t *testing.T) {
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 	pattern := randomRanks(rng, 3)
 	for _, method := range []Method{MethodSTree, MethodMTree} {
-		got, _, err := s.Find(pattern, 3, method)
+		got, _, err := find(s, pattern, 3, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,19 +237,19 @@ func TestKAtLeastM(t *testing.T) {
 func TestFindValidation(t *testing.T) {
 	text := []byte{1, 2, 3, 4}
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
-	if _, _, err := s.Find(nil, 1, MethodMTree); err == nil {
+	if _, _, err := find(s, nil, 1, MethodMTree); err == nil {
 		t.Error("empty pattern accepted")
 	}
-	if _, _, err := s.Find([]byte{0}, 1, MethodMTree); err == nil {
+	if _, _, err := find(s, []byte{0}, 1, MethodMTree); err == nil {
 		t.Error("sentinel in pattern accepted")
 	}
-	if _, _, err := s.Find([]byte{1}, -1, MethodMTree); err == nil {
+	if _, _, err := find(s, []byte{1}, -1, MethodMTree); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, _, err := s.Find([]byte{1}, 1, Method(99)); err == nil {
+	if _, _, err := find(s, []byte{1}, 1, Method(99)); err == nil {
 		t.Error("unknown method accepted")
 	}
-	got, _, err := s.Find([]byte{1, 2, 3, 4, 1}, 1, MethodMTree)
+	got, _, err := find(s, []byte{1, 2, 3, 4, 1}, 1, MethodMTree)
 	if err != nil || got != nil {
 		t.Errorf("pattern longer than text: got %v, err %v", got, err)
 	}
@@ -262,11 +267,11 @@ func TestNewSearcherFromIndex(t *testing.T) {
 		t.Fatalf("N = %d", s2.N())
 	}
 	pattern := mutate(rng, text, 50, 20, 1)
-	a, _, err := s1.Find(pattern, 2, MethodMTree)
+	a, _, err := find(s1, pattern, 2, MethodMTree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s2.Find(pattern, 2, MethodMTree)
+	b, _, err := find(s2, pattern, 2, MethodMTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +294,14 @@ func TestStatsPopulated(t *testing.T) {
 	text := randomRanks(rng, 3000)
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 	pattern := mutate(rng, text, 100, 30, 2)
-	_, stats, err := s.Find(pattern, 3, MethodMTree)
+	_, stats, err := find(s, pattern, 3, MethodMTree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.StepCalls == 0 || stats.Nodes == 0 || stats.MTreeLeaves == 0 {
 		t.Errorf("stats look empty: %+v", stats)
 	}
-	_, pstats, _ := s.Find(pattern, 3, MethodSTreePhi)
+	_, pstats, _ := find(s, pattern, 3, MethodSTreePhi)
 	if pstats.StepCalls == 0 {
 		t.Errorf("phi stats empty: %+v", pstats)
 	}
@@ -307,7 +312,7 @@ func TestCountLeaves(t *testing.T) {
 	text := randomRanks(rng, 2000)
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 	pattern := mutate(rng, text, 50, 40, 3)
-	stats, err := s.CountLeaves(pattern, 3)
+	stats, err := s.CountLeaves(NewScratch(), pattern, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +320,7 @@ func TestCountLeaves(t *testing.T) {
 		t.Error("CountLeaves found nothing")
 	}
 	// Degenerate inputs are a no-op.
-	if st, err := s.CountLeaves(nil, 3); err != nil || st.MTreeLeaves != 0 {
+	if st, err := s.CountLeaves(NewScratch(), nil, 3); err != nil || st.MTreeLeaves != 0 {
 		t.Error("CountLeaves(nil) misbehaved")
 	}
 }
@@ -327,8 +332,8 @@ func TestPhiPrunesButPreservesResults(t *testing.T) {
 	// A random (non-planted) pattern has absent substrings, activating φ.
 	pattern := randomRanks(rng, 40)
 	k := 3
-	plain, pstats, _ := s.Find(pattern, k, MethodSTree)
-	pruned, qstats, _ := s.Find(pattern, k, MethodSTreePhi)
+	plain, pstats, _ := find(s, pattern, k, MethodSTree)
+	pruned, qstats, _ := find(s, pattern, k, MethodSTreePhi)
 	if len(plain) != len(pruned) {
 		t.Fatalf("phi changed results: %d vs %d", len(plain), len(pruned))
 	}
@@ -347,8 +352,8 @@ func TestMTreeDoesLessBWTWorkOnRepetitiveText(t *testing.T) {
 	}
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 	pattern := mutate(rng, text, 30, 40, 2)
-	_, brute, _ := s.Find(pattern, 3, MethodSTree)
-	_, atree, _ := s.Find(pattern, 3, MethodMTree)
+	_, brute, _ := find(s, pattern, 3, MethodSTree)
+	_, atree, _ := find(s, pattern, 3, MethodMTree)
 	if atree.StepCalls >= brute.StepCalls {
 		t.Errorf("Algorithm A did not save BWT work: %d vs %d (memo hits %d)",
 			atree.StepCalls, brute.StepCalls, atree.MemoHits)

@@ -44,7 +44,7 @@ func TestPeriodicPatternsOnTandemText(t *testing.T) {
 	}
 	pattern := periodicPattern(unit, 60)
 	for k := 0; k <= 3; k++ {
-		got, _, err := s.Find(pattern, k, MethodMTree)
+		got, _, err := find(s, pattern, k, MethodMTree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestDerivationFiresInDenseRegion(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		pos := rng.Intn(len(g) - 60)
 		pattern := mutate(rng, g, pos, 60, 2)
-		a, astats, err := s.Find(pattern, 8, MethodMTree)
+		a, astats, err := find(s, pattern, 8, MethodMTree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := s.Find(pattern, 8, MethodSTreePhi)
+		b, _, err := find(s, pattern, 8, MethodSTreePhi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestDerivationCorrectUnderBudgetUpgrades(t *testing.T) {
 			pattern[rng.Intn(len(pattern))] = byte(1 + rng.Intn(4))
 		}
 		k := 1 + rng.Intn(4)
-		got, stats, err := s.Find(pattern, k, MethodMTree)
+		got, stats, err := find(s, pattern, k, MethodMTree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestDerivationAllPeriods(t *testing.T) {
 		s, _ := NewSearcher(text, fmindex.DefaultOptions())
 		for _, k := range []int{0, 1, 2} {
 			pattern := periodicPattern(unit, 20)
-			got, _, err := s.Find(pattern, k, MethodMTree)
+			got, _, err := find(s, pattern, k, MethodMTree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,11 +166,11 @@ func TestNoPhiMatchesPhiResults(t *testing.T) {
 		m := 5 + rng.Intn(30)
 		pattern := mutate(rng, text, rng.Intn(len(text)-m), m, rng.Intn(3))
 		k := rng.Intn(4)
-		a, _, err := s.Find(pattern, k, MethodMTree)
+		a, _, err := find(s, pattern, k, MethodMTree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := s.Find(pattern, k, MethodMTreeNoPhi)
+		b, _, err := find(s, pattern, k, MethodMTreeNoPhi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestStructuredRegionStats(t *testing.T) {
 	s, _ := NewSearcher(text, fmindex.DefaultOptions())
 
 	periodic := periodicPattern(unit, 40)
-	got, pstats, err := s.Find(periodic, 2, MethodMTree)
+	got, pstats, err := find(s, periodic, 2, MethodMTree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestScratchReuseNoStaleDerivations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := s.Find(pat, k, MethodSTree)
+		want, _, err := find(s, pat, k, MethodSTree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"bwtmatch/internal/fmindex"
 	"bwtmatch/internal/mismatch"
 )
@@ -16,8 +14,9 @@ import (
 //
 // A Scratch is not safe for concurrent use; pin one per worker
 // goroutine (bwtmatch.MapAllContext does) or recycle through a
-// sync.Pool. It holds no reference to any index, so one Scratch serves
-// searches against different Searchers interchangeably.
+// sync.Pool (bwtmatch's single-query entry points do). It holds no
+// reference to any index, so one Scratch serves searches against
+// different Searchers interchangeably.
 type Scratch struct {
 	memo   memoTable
 	runs   []mrun
@@ -46,10 +45,6 @@ type frame struct {
 	j    int
 	mism int
 }
-
-// scratchPool recycles Scratches for the convenience entry points
-// (Find/FindTraced) that do not thread their own.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // intBuf returns buf resized to n entries, reallocating only when the
 // capacity is insufficient. Contents are unspecified.

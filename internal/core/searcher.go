@@ -126,24 +126,10 @@ func (s *Searcher) N() int { return s.n }
 // Index exposes the underlying FM-index (over the reversed target).
 func (s *Searcher) Index() *fmindex.Index { return s.idx }
 
-// Find returns all k-mismatch occurrences of the rank-encoded pattern,
-// sorted by position, along with search statistics.
-func (s *Searcher) Find(pattern []byte, k int, method Method) ([]Match, Stats, error) {
-	return s.FindTraced(pattern, k, method, nil)
-}
-
-// FindTraced is Find with per-query telemetry; it borrows a pooled
-// Scratch, so only the returned matches are allocated. See FindScratch
-// for the telemetry contract.
-func (s *Searcher) FindTraced(pattern []byte, k int, method Method, tr obs.Tracer) ([]Match, Stats, error) {
-	sc := scratchPool.Get().(*Scratch)
-	out, stats, err := s.FindScratch(sc, nil, pattern, k, method, tr)
-	scratchPool.Put(sc)
-	return out, stats, err
-}
-
-// FindScratch is the zero-allocation entry point: all working memory
-// comes from sc and matches are appended to dst (which may be nil).
+// FindScratch returns all k-mismatch occurrences of the rank-encoded
+// pattern, sorted by position, along with search statistics. All
+// working memory comes from sc and matches are appended to dst (which
+// may be nil).
 // With a warm Scratch and a dst of sufficient capacity a call performs
 // no heap allocation. sc must not be shared between concurrent calls.
 //
@@ -240,15 +226,13 @@ type leaf struct {
 	mism int
 }
 
-// CountLeaves runs Algorithm A and returns only n′ (Table 2) and stats,
-// without locating occurrences.
-func (s *Searcher) CountLeaves(pattern []byte, k int) (Stats, error) {
+// CountLeaves runs Algorithm A with working memory from sc and returns
+// only n′ (Table 2) and stats, without locating occurrences.
+func (s *Searcher) CountLeaves(sc *Scratch, pattern []byte, k int) (Stats, error) {
 	var stats Stats
 	if len(pattern) == 0 || len(pattern) > s.n {
 		return stats, nil
 	}
-	sc := scratchPool.Get().(*Scratch)
 	s.searchMTree(sc, pattern, k, true, &stats, nil)
-	scratchPool.Put(sc)
 	return stats, nil
 }

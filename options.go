@@ -11,7 +11,6 @@ type config struct {
 	shardSize     int
 	shardCount    int
 	maxPatternLen int
-	shardFanout   int
 }
 
 // DefaultMaxPatternLen is the pattern-length bound a sharded index is
@@ -114,12 +113,4 @@ func WithShardSize(bytes int) Option {
 // ErrInput. Plain New ignores it.
 func WithMaxPatternLen(n int) Option {
 	return func(c *config) { c.maxPatternLen = n }
-}
-
-// WithShardFanout caps the goroutines a single sharded search fans out
-// across (default GOMAXPROCS). 1 searches shards serially; batch
-// entry points (MapAllContext) always search shards serially within a
-// worker and parallelize across queries instead. Plain New ignores it.
-func WithShardFanout(n int) Option {
-	return func(c *config) { c.shardFanout = n }
 }

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Query is one unit of bulk search work for MapAll.
+// Query is one unit of bulk search work for MapAllContext.
 type Query struct {
 	// ID labels the query in logs (optional).
 	ID string
@@ -23,13 +23,6 @@ type Result struct {
 	// errored or were cancelled).
 	Stats Stats
 	Err   error
-}
-
-// MapAll runs every query with the given method across workers
-// goroutines and returns results in query order. It is MapAllContext
-// with a background context; see there for the error contract.
-func (x *Index) MapAll(queries []Query, method Method, workers int) []Result {
-	return x.MapAllContext(context.Background(), queries, method, workers)
 }
 
 // mapChunkMax bounds how many query indices one work-stealing claim
@@ -57,43 +50,41 @@ const mapChunkMax = 32
 // call returns only after all workers have drained, so the results
 // slice is never written to after return.
 func (x *Index) MapAllContext(ctx context.Context, queries []Query, method Method, workers int) []Result {
+	return mapAll(ctx, x, queries, method, workers)
+}
+
+// mapAll is MapAllContext for every layout: each query runs through
+// m's search primitive on its worker's pinned Scratch.
+func mapAll(ctx context.Context, m Matcher, queries []Query, method Method, workers int) []Result {
+	return mapQueries(ctx, queries, workers, func(sc *Scratch, q Query) ([]Match, Stats, error) {
+		return m.SearchMethodScratch(sc, nil, q.Pattern, q.K, method, nil)
+	})
+}
+
+// mapQueries is the batch driver behind every MapAllContext and
+// MapShardsContext, and the only place search parallelism lives: it
+// runs search exactly once per query, distributing the queries over
+// workers goroutines by chunked atomic claiming, with one pooled
+// Scratch pinned per worker, and applies the cancellation contract of
+// MapAllContext. search must be safe for concurrent invocation.
+func mapQueries(ctx context.Context, queries []Query, workers int, search func(sc *Scratch, q Query) ([]Match, Stats, error)) []Result {
 	results := make([]Result, len(queries))
-	_, coreMethod := coreMethods[method]
 	run := func(sc *Scratch, i int) {
 		if err := ctx.Err(); err != nil {
 			results[i] = Result{Err: err}
 			return
 		}
-		q := queries[i]
-		var (
-			m   []Match
-			st  Stats
-			err error
-		)
-		if coreMethod {
-			m, st, err = x.SearchMethodScratch(sc, nil, q.Pattern, q.K, method)
-		} else {
-			m, st, err = x.SearchMethod(q.Pattern, q.K, method)
-		}
+		m, st, err := search(sc, queries[i])
 		results[i] = Result{Matches: m, Stats: st, Err: err}
 	}
-	runQueries(len(queries), workers, run)
-	return results
-}
-
-// runQueries is the bulk execution engine shared by (*Index) and
-// (*ShardedIndex) MapAllContext: it invokes run(sc, i) exactly once for
-// every i in [0, n), distributing the indices over workers goroutines
-// by chunked atomic claiming, with one pooled Scratch pinned per
-// worker. run must be safe for concurrent invocation on distinct i.
-func runQueries(n, workers int, run func(sc *Scratch, i int)) {
+	n := len(queries)
 	if workers <= 1 || n <= 1 {
 		sc := scratchPool.Get().(*Scratch)
 		for i := 0; i < n; i++ {
 			run(sc, i)
 		}
 		scratchPool.Put(sc)
-		return
+		return results
 	}
 	if workers > n {
 		workers = n
@@ -137,4 +128,5 @@ func runQueries(n, workers int, run func(sc *Scratch, i int)) {
 		}()
 	}
 	wg.Wait()
+	return results
 }

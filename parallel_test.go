@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,8 +29,8 @@ func TestMapAllMatchesSerial(t *testing.T) {
 	}
 	queries := makeQueries(rng, target, 60)
 	for _, method := range []Method{AlgorithmA, Amir, Cole} {
-		serial := idx.MapAll(queries, method, 1)
-		parallel := idx.MapAll(queries, method, 8)
+		serial := idx.MapAllContext(context.Background(), queries, method, 1)
+		parallel := idx.MapAllContext(context.Background(), queries, method, 8)
 		for i := range queries {
 			if serial[i].Err != nil || parallel[i].Err != nil {
 				t.Fatalf("query %d errors: %v / %v", i, serial[i].Err, parallel[i].Err)
@@ -56,7 +57,7 @@ func TestMapAllPerQueryErrors(t *testing.T) {
 		{Pattern: nil, K: 1},           // empty
 		{Pattern: []byte("ttga"), K: 0},
 	}
-	res := idx.MapAll(queries, AlgorithmA, 4)
+	res := idx.MapAllContext(context.Background(), queries, AlgorithmA, 4)
 	if res[0].Err != nil || res[3].Err != nil {
 		t.Errorf("valid queries failed: %v %v", res[0].Err, res[3].Err)
 	}
@@ -110,12 +111,11 @@ func TestMapAllContextCancellation(t *testing.T) {
 		t.Error("cancelled context produced no context.Canceled results")
 	}
 
-	// An un-cancelled context behaves exactly like MapAll.
-	a := idx.MapAll(queries, AlgorithmA, 8)
-	b := idx.MapAllContext(context.Background(), queries, AlgorithmA, 8)
-	for i := range a {
-		if a[i].Err != nil || b[i].Err != nil || len(a[i].Matches) != len(b[i].Matches) {
-			t.Fatalf("query %d: MapAll/MapAllContext disagree", i)
+	// An un-cancelled context answers every query like a single search.
+	for i, r := range idx.MapAllContext(context.Background(), queries, AlgorithmA, 8) {
+		want, err := Search(idx, queries[i].Pattern, queries[i].K)
+		if r.Err != nil || err != nil || !slices.Equal(r.Matches, want) {
+			t.Fatalf("query %d: MapAllContext and Search disagree", i)
 		}
 	}
 }
@@ -125,21 +125,21 @@ func TestMapAllStatsSurfaced(t *testing.T) {
 	target := randomDNA(rng, 4000)
 	idx, _ := New(target)
 	queries := makeQueries(rng, target, 10)
-	res := idx.MapAll(queries, AlgorithmA, 4)
+	res := idx.MapAllContext(context.Background(), queries, AlgorithmA, 4)
 	steps := 0
 	for _, r := range res {
 		steps += r.Stats.StepCalls
 	}
 	if steps == 0 {
-		t.Error("MapAll results carry no Stats.StepCalls")
+		t.Error("MapAllContext results carry no Stats.StepCalls")
 	}
 }
 
 func TestMapAllEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	idx, _ := New(randomDNA(rng, 100))
-	if res := idx.MapAll(nil, AlgorithmA, 4); len(res) != 0 {
-		t.Errorf("MapAll(nil) = %v", res)
+	if res := idx.MapAllContext(context.Background(), nil, AlgorithmA, 4); len(res) != 0 {
+		t.Errorf("MapAllContext(nil) = %v", res)
 	}
 }
 
@@ -158,9 +158,9 @@ func TestMapAllChunkBoundaries(t *testing.T) {
 	}
 	for _, n := range []int{2, 3, mapChunkMax, mapChunkMax + 1, 4 * mapChunkMax, 4*mapChunkMax + 1, 300} {
 		queries := makeQueries(rng, target, n)
-		serial := idx.MapAll(queries, AlgorithmA, 1)
+		serial := idx.MapAllContext(context.Background(), queries, AlgorithmA, 1)
 		for _, workers := range []int{2, 3, 8} {
-			got := idx.MapAll(queries, AlgorithmA, workers)
+			got := idx.MapAllContext(context.Background(), queries, AlgorithmA, workers)
 			if len(got) != n {
 				t.Fatalf("n=%d workers=%d: %d results", n, workers, len(got))
 			}
@@ -220,7 +220,7 @@ func TestMapAllMoreWorkersThanQueries(t *testing.T) {
 	target := randomDNA(rng, 1000)
 	idx, _ := New(target)
 	queries := makeQueries(rng, target, 3)
-	res := idx.MapAll(queries, AlgorithmA, 64)
+	res := idx.MapAllContext(context.Background(), queries, AlgorithmA, 64)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)

@@ -107,7 +107,7 @@ func (x *Index) SearchRefs(pattern []byte, k int) ([]RefMatch, error) {
 	if len(x.refs) == 0 {
 		return nil, fmt.Errorf("%w: index has no reference table (built with New, not NewRefs)", ErrInput)
 	}
-	matches, err := x.Search(pattern, k)
+	matches, err := Search(x, pattern, k)
 	if err != nil {
 		return nil, err
 	}

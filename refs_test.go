@@ -52,7 +52,7 @@ func TestSearchRefsDropsBoundarySpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := idx.Search([]byte("gtca"), 0)
+	flat, err := Search(idx, []byte("gtca"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

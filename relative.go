@@ -16,8 +16,8 @@ import (
 // are byte-identical to a standalone build over the same target; the
 // tenant-resident footprint is the delta plus Locate samples — O(diff)
 // instead of O(n) — so a fleet of near-copy tenants shares one base
-// payload. It satisfies Matcher through its embedded Index, so every
-// search entry point works unchanged.
+// payload. It satisfies Matcher through its embedded Index: the
+// search primitive and everything built on it are inherited unchanged.
 //
 // The target text is not stored: the text-scanning baselines (Amir,
 // Cole, Online, MEMs, wildcard, edit search) reconstruct it lazily
@@ -28,9 +28,6 @@ type RelativeIndex struct {
 	baseFP   [sha256.Size]byte
 	basePath string
 }
-
-// Compile-time check that the relative layout satisfies Matcher.
-var _ Matcher = (*RelativeIndex)(nil)
 
 // relTenantSARate is the default Locate sampling rate of relative
 // tenant builds. The delta layout pays rank bridging on every LF step,

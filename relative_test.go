@@ -68,11 +68,11 @@ func TestRelativeEquivalence(t *testing.T) {
 			}
 			k := rng.Intn(4)
 			for _, method := range allMethods {
-				got, _, err := rel.SearchMethod(pattern, k, method)
+				got, _, err := SearchMethod(rel, pattern, k, method)
 				if err != nil {
 					t.Fatalf("%v relative: %v", method, err)
 				}
-				want, _, err := standalone.SearchMethod(pattern, k, method)
+				want, _, err := SearchMethod(standalone, pattern, k, method)
 				if err != nil {
 					t.Fatalf("%v standalone: %v", method, err)
 				}
@@ -86,11 +86,11 @@ func TestRelativeEquivalence(t *testing.T) {
 					}
 				}
 			}
-			gotK, gotBest, err := rel.SearchBest(pattern, k)
+			gotK, gotBest, err := SearchBest(rel, pattern, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, wantBest, err := standalone.SearchBest(pattern, k)
+			wantK, wantBest, err := SearchBest(standalone, pattern, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,13 +156,13 @@ func TestRelativeSaveLoadFile(t *testing.T) {
 	}
 
 	pattern := []byte(tenText[5:25])
-	want, err := rel.Search(pattern, 2)
+	want, err := Search(rel, pattern, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(m Matcher) {
 		t.Helper()
-		got, err := m.Search(pattern, 2)
+		got, err := Search(m, pattern, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"bwtmatch/internal/shard"
 )
@@ -158,7 +157,6 @@ func LoadSharded(ra io.ReaderAt, size int64) (*ShardedIndex, error) {
 		refs:     refsFromShard(man.Refs),
 		shards:   make([]lazyShard, len(toc.frames)),
 		counters: make([]shardCounter, len(toc.frames)),
-		fanout:   runtime.GOMAXPROCS(0),
 	}
 	for i := range x.shards {
 		fr := toc.frames[i]

@@ -39,11 +39,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			pattern[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 			k := rng.Intn(3)
 			for _, method := range []Method{AlgorithmA, Amir, Cole} {
-				a, _, err := orig.SearchMethod(pattern, k, method)
+				a, _, err := SearchMethod(orig, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, _, err := loaded.SearchMethod(pattern, k, method)
+				b, _, err := SearchMethod(loaded, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,8 +74,8 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	pattern := target[100:130]
-	a, _ := orig.Search(pattern, 2)
-	b, _ := loaded.Search(pattern, 2)
+	a, _ := Search(orig, pattern, 2)
+	b, _ := Search(loaded, pattern, 2)
 	if len(a) != len(b) {
 		t.Fatalf("results differ after file round trip")
 	}

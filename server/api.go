@@ -176,7 +176,8 @@ type ErrorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// methodNames maps wire names to matchers, mirroring cmd/kmsearch.
+// methodNames maps wire names to matchers: the one table behind the
+// search API, the /metrics method labels and kmsearch -method.
 var methodNames = map[string]bwtmatch.Method{
 	"":       bwtmatch.AlgorithmA,
 	"a":      bwtmatch.AlgorithmA,

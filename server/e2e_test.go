@@ -101,7 +101,7 @@ func TestServerEndToEnd(t *testing.T) {
 			pat[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 		}
 		reads[i] = server.Read{ID: fmt.Sprintf("read%d", i), Seq: string(pat)}
-		if want[i], err = idx.Search(pat, 4); err != nil {
+		if want[i], err = bwtmatch.Search(idx, pat, 4); err != nil {
 			t.Fatal(err)
 		}
 	}

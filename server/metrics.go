@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bwtmatch"
 	"bwtmatch/internal/obs"
 )
 
@@ -74,7 +75,7 @@ func (m *Metrics) Snapshot() map[string]any {
 		if m.perMethod[i].Count() == 0 {
 			continue
 		}
-		methods[methodNameFor(i)] = m.perMethod[i].Snapshot()
+		methods[MethodName(bwtmatch.Method(i))] = m.perMethod[i].Snapshot()
 	}
 	return map[string]any{
 		"queries_total":       m.QueriesTotal.Load(),
@@ -112,7 +113,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 			continue
 		}
 		m.perMethod[i].WritePrometheus(w, "kmserved_search_latency_ms",
-			fmt.Sprintf("method=%q", methodNameFor(i)))
+			fmt.Sprintf("method=%q", MethodName(bwtmatch.Method(i))))
 	}
 }
 
@@ -138,16 +139,6 @@ func (a allMethodsSource) CountUnder(boundMS float64) int64 {
 		n += a.m.perMethod[i].CountUnder(boundMS)
 	}
 	return n
-}
-
-// methodNameFor inverts methodNames for display.
-func methodNameFor(m int) string {
-	for name, method := range methodNames {
-		if int(method) == m && name != "" {
-			return name
-		}
-	}
-	return "unknown"
 }
 
 // ServeHTTP renders the Prometheus exposition, making Metrics mountable

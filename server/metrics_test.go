@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bwtmatch"
 	"bwtmatch/internal/obs"
 )
 
@@ -72,21 +73,39 @@ func TestMetricsPrometheusValidWhenIdle(t *testing.T) {
 	}
 }
 
+// TestMethodNameRoundTrip pins the one wire-method table behind the
+// search API, kmsearch -method and the /metrics labels: every token,
+// plus "" for Algorithm A, parses to its matcher, and MethodName maps
+// the matcher back to its canonical token.
 func TestMethodNameRoundTrip(t *testing.T) {
-	for _, name := range []string{"a", "bwt", "stree", "amir", "cole", "online", "seed"} {
-		m, err := ParseMethod(name)
-		if err != nil {
-			t.Fatalf("ParseMethod(%q): %v", name, err)
+	cases := []struct {
+		token, canonical string
+		method           bwtmatch.Method
+	}{
+		{"", "a", bwtmatch.AlgorithmA},
+		{"a", "a", bwtmatch.AlgorithmA},
+		{"bwt", "bwt", bwtmatch.BWTBaseline},
+		{"stree", "stree", bwtmatch.STree},
+		{"amir", "amir", bwtmatch.Amir},
+		{"cole", "cole", bwtmatch.Cole},
+		{"online", "online", bwtmatch.Online},
+		{"seed", "seed", bwtmatch.Seed},
+	}
+	if len(cases) != len(methodNames) {
+		t.Fatalf("table covers %d tokens, methodNames has %d", len(cases), len(methodNames))
+	}
+	for _, tc := range cases {
+		m, err := ParseMethod(tc.token)
+		if err != nil || m != tc.method {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", tc.token, m, err, tc.method)
+			continue
 		}
-		if got := methodNameFor(int(m)); got != name {
-			t.Errorf("methodNameFor(%v) = %q, want %q", m, got, name)
+		if got := MethodName(m); got != tc.canonical {
+			t.Errorf("MethodName(%v) = %q, want %q", m, got, tc.canonical)
 		}
 	}
 	if _, err := ParseMethod("quantum"); err == nil {
 		t.Error("unknown method accepted")
-	}
-	if m, err := ParseMethod(""); err != nil || m != 0 {
-		t.Errorf("empty method: %v %v", m, err)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // Config tunes a Server. The zero value is usable; see the field
 // comments for the defaults applied by New.
 type Config struct {
-	// Workers is the fan-out width per batch (default GOMAXPROCS via
-	// bwtmatch.MapAll semantics; 0 means 4).
+	// Workers is the fan-out width per batch: the goroutines
+	// MapAllContext spreads a batch's reads over (0 means 4).
 	Workers int
 	// MaxBatch caps reads per request (default 4096).
 	MaxBatch int
@@ -566,15 +566,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				"index %q is monolithic; shards cannot be restricted", req.Index)
 			return
 		}
-		prev := -1
-		for _, sh := range req.Shards {
-			if sh < 0 || sh >= sx.Shards() || sh <= prev {
-				s.failr(w, rid, http.StatusBadRequest,
-					"bad shard set %v for index %q (%d shards; ordinals must be strictly increasing)",
-					req.Shards, req.Index, sx.Shards())
-				return
-			}
-			prev = sh
+		if err := sx.CheckShardSet(req.Shards); err != nil {
+			s.failr(w, rid, http.StatusBadRequest, "bad shard set %v for index %q: %v", req.Shards, req.Index, err)
+			return
 		}
 		sharded = sx
 	}

@@ -113,7 +113,7 @@ func TestSearchMatchesLibrary(t *testing.T) {
 		pat[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 		k := rng.Intn(4)
 		reads = append(reads, Read{ID: fmt.Sprintf("r%d", i), Seq: string(pat), K: &k})
-		direct, err := idx.Search(pat, k)
+		direct, err := bwtmatch.Search(idx, pat, k)
 		if err != nil {
 			t.Fatal(err)
 		}

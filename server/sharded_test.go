@@ -75,7 +75,7 @@ func TestRegistryEvictsShardedAsOneUnit(t *testing.T) {
 	held := sx.(*bwtmatch.ShardedIndex)
 	// Only the first shard materializes before eviction; the rest must
 	// still be loadable from the backing file afterwards.
-	if _, err := held.Search([]byte("acgtacgt"), 1); err != nil {
+	if _, err := bwtmatch.Search(held, []byte("acgtacgt"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Add("mono", mono); err != nil {
@@ -97,7 +97,7 @@ func TestRegistryEvictsShardedAsOneUnit(t *testing.T) {
 	if err := held.LoadAll(); err != nil {
 		t.Fatalf("evicted sharded index lost its backing file: %v", err)
 	}
-	if _, err := held.Search([]byte("acgtacgt"), 1); err != nil {
+	if _, err := bwtmatch.Search(held, []byte("acgtacgt"), 1); err != nil {
 		t.Fatalf("evicted sharded index stopped searching: %v", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestSearchShardedMatchesMonolithic(t *testing.T) {
 	}
 	for i, rr := range sr.Results {
 		pattern := []byte(strings.Split(strings.Split(reads[i], `"seq":"`)[1], `"`)[0])
-		want, err := mono.Search(pattern, 2)
+		want, err := bwtmatch.Search(mono, pattern, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/shard"
 )
 
@@ -35,7 +34,6 @@ type ShardedIndex struct {
 	man    shard.Manifest
 	refs   []Ref
 	shards []lazyShard
-	fanout int
 
 	// counters carries per-shard search telemetry; one slot per shard,
 	// the slice itself immutable after construction.
@@ -167,10 +165,6 @@ func newSharded(target []byte, refs []Ref, opts []Option) (*ShardedIndex, error)
 		refs:     refs,
 		shards:   make([]lazyShard, plan.Count()),
 		counters: make([]shardCounter, plan.Count()),
-		fanout:   cfg.shardFanout,
-	}
-	if x.fanout <= 0 {
-		x.fanout = runtime.GOMAXPROCS(0)
 	}
 
 	// Build shards concurrently, at most GOMAXPROCS at a time: each
@@ -281,171 +275,88 @@ func (x *ShardedIndex) ShardInfo() []ShardInfo {
 	return out
 }
 
-// Search finds all occurrences of pattern with at most k mismatches
-// using Algorithm A, sorted by global position.
-func (x *ShardedIndex) Search(pattern []byte, k int) ([]Match, error) {
-	m, _, err := x.SearchMethod(pattern, k, AlgorithmA)
-	return m, err
+// SearchMethodScratch is the sharded search primitive: the query runs
+// through every shard in order with caller-managed memory, appending
+// the owned matches, in global position order, to dst (which may be
+// nil). Any Method is accepted, with the allocation and telemetry
+// contract of (*Index).SearchMethodScratch; a non-nil tr additionally
+// observes one "shard[i]" span per shard around the usual phase spans.
+func (x *ShardedIndex) SearchMethodScratch(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
+	return x.searchShards(sc, dst, pattern, k, method, tr, nil)
 }
 
-// Count returns only the number of k-mismatch occurrences.
-func (x *ShardedIndex) Count(pattern []byte, k int) (int, error) {
-	m, err := x.Search(pattern, k)
-	return len(m), err
-}
-
-// SearchMethod runs one of the implemented matchers across all shards,
-// fanning out up to WithShardFanout goroutines, and returns the merged
-// global-coordinate matches with summed work statistics.
-func (x *ShardedIndex) SearchMethod(pattern []byte, k int, method Method) ([]Match, Stats, error) {
-	return x.searchAll(pattern, k, method, nil)
-}
-
-// SearchMethodTraced is SearchMethod with per-query telemetry: the
-// tracer observes one "shard[i]" span per shard, each containing the
-// usual phase spans and work events. Tracing serializes the fan-out so
-// the shard timeline stays readable.
+// SearchMethodTraced runs the search primitive with a pooled Scratch and
+// returns the merged global-coordinate matches in a fresh slice, with
+// work statistics summed over the shards; tr may be nil.
 func (x *ShardedIndex) SearchMethodTraced(pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
-	return x.searchAll(pattern, k, method, tr)
+	return searchPooled(x, pattern, k, method, tr)
 }
 
-// SearchBest finds the occurrences with the smallest Hamming distance
-// not exceeding maxK, by iterative deepening exactly like
-// (*Index).SearchBest: distance strata are tried in increasing order
-// and the first non-empty one is returned.
-func (x *ShardedIndex) SearchBest(pattern []byte, maxK int) (int, []Match, error) {
-	if maxK < 0 {
-		return -1, nil, fmt.Errorf("%w: negative maxK", ErrInput)
-	}
-	for k := 0; k <= maxK; k++ {
-		matches, err := x.Search(pattern, k)
-		if err != nil {
-			return -1, nil, err
-		}
-		if len(matches) == 0 {
-			continue
-		}
-		best := matches[0].Mismatches
-		for _, m := range matches {
-			if m.Mismatches < best {
-				best = m.Mismatches
-			}
-		}
-		out := matches[:0:0]
-		for _, m := range matches {
-			if m.Mismatches == best {
-				out = append(out, m)
-			}
-		}
-		return best, out, nil
-	}
-	return -1, nil, nil
-}
-
-// checkPattern validates a query against the sharded geometry and
-// returns the rank-encoded pattern appended to buf.
-func (x *ShardedIndex) checkPattern(buf, pattern []byte, k int) ([]byte, error) {
-	p, err := alphabet.AppendEncode(buf, pattern)
-	if err != nil {
-		return p, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	if len(p) == 0 {
-		return p, fmt.Errorf("%w: empty pattern", ErrInput)
-	}
-	if len(p) > x.man.MaxPatternLen {
-		return p, fmt.Errorf("%w: pattern length %d exceeds the sharded index bound %d (rebuild with WithMaxPatternLen)",
+// searchShards runs the query through the listed shards in order (every
+// shard when shards is nil) with one Scratch, appending into dst. The
+// caller has validated the list. Owned ranges are disjoint and
+// increasing, so the appended matches come out globally sorted.
+func (x *ShardedIndex) searchShards(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer, shards []int) ([]Match, Stats, error) {
+	var st Stats
+	// Validate against the sharded geometry up front: each shard only
+	// knows its own slice, so a pattern longer than MaxPatternLen must be
+	// rejected here rather than silently missing boundary-straddling
+	// matches.
+	p, err := sc.encode(pattern, k)
+	if err == nil && len(p) > x.man.MaxPatternLen {
+		err = fmt.Errorf("%w: pattern length %d exceeds the sharded index bound %d (rebuild with WithMaxPatternLen)",
 			ErrInput, len(p), x.man.MaxPatternLen)
 	}
-	if k < 0 {
-		return p, fmt.Errorf("%w: negative k", ErrInput)
-	}
-	return p, nil
-}
-
-// searchAll is the fan-out engine behind the convenience entry points.
-func (x *ShardedIndex) searchAll(pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
-	var st Stats
-	if _, err := x.checkPattern(nil, pattern, k); err != nil {
-		return nil, st, err
-	}
-	fanout := x.fanout
-	if fanout > len(x.shards) {
-		fanout = len(x.shards)
-	}
-	if fanout <= 1 || tr != nil || len(x.shards) == 1 {
-		sc := scratchPool.Get().(*Scratch)
-		out, st, err := x.searchSerial(sc, nil, pattern, k, method, tr)
-		scratchPool.Put(sc)
-		return out, st, err
-	}
-
-	// Parallel fan-out: workers claim shards from an atomic counter,
-	// each with a pooled Scratch; per-shard results land in their slot
-	// and concatenate in shard order (owned ranges are disjoint and
-	// increasing, so the concatenation is globally sorted).
-	perShard := make([][]Match, len(x.shards))
-	perStats := make([]Stats, len(x.shards))
-	perErr := make([]error, len(x.shards))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*Scratch)
-			defer scratchPool.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(x.shards) {
-					return
-				}
-				var ms []Match
-				ms, perStats[i], perErr[i] = x.searchShard(i, sc, nil, pattern, k, method, nil)
-				perShard[i] = ms
-			}
-		}()
-	}
-	wg.Wait()
-	var out []Match
-	for i := range x.shards {
-		if perErr[i] != nil {
-			return nil, st, perErr[i]
-		}
-		out = append(out, perShard[i]...)
-		st.add(perStats[i])
-	}
-	return out, st, nil
-}
-
-// searchSerial runs the query through every shard in order with one
-// Scratch, appending into dst.
-func (x *ShardedIndex) searchSerial(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
-	var st Stats
-	// Validate against the sharded geometry up front: the per-shard
-	// searches below only know their own slice, so a pattern longer than
-	// MaxPatternLen must be rejected here rather than silently missing
-	// boundary-straddling matches. The encode lands in the reusable rank
-	// buffer, so the zero-alloc contract of the scratch path holds.
-	p, err := x.checkPattern(sc.ranks[:0], pattern, k)
-	sc.ranks = p
 	if err != nil {
 		return dst, st, err
 	}
+	n := len(shards)
+	if shards == nil {
+		n = len(x.shards)
+	}
 	out := dst
-	for i := range x.shards {
+	for j := range n {
+		i := j
+		if shards != nil {
+			i = shards[j]
+		}
 		var ss Stats
-		out, ss, err = x.searchShard(i, sc, out, pattern, k, method, tr)
+		out, ss, err = x.searchShard(i, sc, out, p, k, method, tr)
 		if err != nil {
-			return dst, st, err
+			return dst, Stats{}, err
 		}
 		st.add(ss)
 	}
 	return out, st, nil
 }
 
-// checkShardSet validates a strictly increasing list of shard ordinals
-// (the worker-side contract of a coordinator's shard-subset search).
-func (x *ShardedIndex) checkShardSet(shards []int) error {
+// searchShard runs the encoded query against shard i and appends, in
+// global coordinates, only the matches the shard owns — global start
+// position inside [span.Start, OwnedEnd(i)), the exactly-once reporting
+// invariant.
+func (x *ShardedIndex) searchShard(i int, sc *Scratch, dst []Match, p []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
+	idx, err := x.shards[i].get()
+	if err != nil {
+		return dst, Stats{}, fmt.Errorf("%w: shard %d: %v", ErrFormat, i, err)
+	}
+	if tr != nil {
+		tr.Begin(fmt.Sprintf("shard[%d]", i))
+		defer tr.End()
+	}
+	start := time.Now()
+	dst, st, err := idx.search(sc, dst, p, k, method, tr, x.shards[i].span.Start, x.man.Plan.OwnedEnd(i))
+	if err != nil {
+		return dst, st, err
+	}
+	x.counters[i].searches.Add(1)
+	x.counters[i].ns.Add(time.Since(start).Nanoseconds())
+	return dst, st, nil
+}
+
+// CheckShardSet validates a shard-subset request: a non-empty, strictly
+// increasing list of shard ordinals (the worker-side contract of a
+// coordinator's shard-subset search). Violations wrap ErrInput.
+func (x *ShardedIndex) CheckShardSet(shards []int) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("%w: empty shard set", ErrInput)
 	}
@@ -462,107 +373,6 @@ func (x *ShardedIndex) checkShardSet(shards []int) error {
 	return nil
 }
 
-// searchShardSet runs the query through the given shards in order with
-// one Scratch, appending into dst. The caller has validated the set.
-func (x *ShardedIndex) searchShardSet(sc *Scratch, dst []Match, pattern []byte, k int, method Method, shards []int) ([]Match, Stats, error) {
-	var st Stats
-	p, err := x.checkPattern(sc.ranks[:0], pattern, k)
-	sc.ranks = p
-	if err != nil {
-		return dst, st, err
-	}
-	out := dst
-	for _, i := range shards {
-		var ss Stats
-		out, ss, err = x.searchShard(i, sc, out, pattern, k, method, nil)
-		if err != nil {
-			return dst, st, err
-		}
-		st.add(ss)
-	}
-	return out, st, nil
-}
-
-// searchShard runs the query against shard i, remaps hits to global
-// coordinates, and appends only the matches the shard owns — global
-// start position inside [span.Start, OwnedEnd(i)), the exactly-once
-// reporting invariant.
-func (x *ShardedIndex) searchShard(i int, sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
-	var st Stats
-	idx, err := x.shards[i].get()
-	if err != nil {
-		return dst, st, fmt.Errorf("%w: shard %d: %v", ErrFormat, i, err)
-	}
-	base := x.shards[i].span.Start
-	ownedEnd := x.man.Plan.OwnedEnd(i)
-	if tr != nil {
-		tr.Begin(fmt.Sprintf("shard[%d]", i))
-		defer tr.End()
-	}
-	start := time.Now()
-	cm, hasCore := coreMethods[method]
-	if hasCore && tr == nil {
-		// Zero-allocation path: core matches land in the Scratch arena
-		// and only owned hits are copied out.
-		p, perr := x.checkPattern(sc.ranks[:0], pattern, k)
-		sc.ranks = p
-		if perr != nil {
-			return dst, st, perr
-		}
-		cms, cs, ferr := idx.searcher.FindScratch(sc.core, sc.cms[:0], p, k, cm, nil)
-		sc.cms = cms
-		if ferr != nil {
-			return dst, st, ferr
-		}
-		st.fromCore(cs)
-		for _, m := range cms {
-			if g := base + int(m.Pos); g < ownedEnd {
-				dst = append(dst, Match{Pos: g, Mismatches: m.Mismatches})
-			}
-		}
-	} else {
-		ms, ss, serr := idx.SearchMethodTraced(pattern, k, method, tr)
-		if serr != nil {
-			return dst, st, serr
-		}
-		st = ss
-		for _, m := range ms {
-			if g := base + m.Pos; g < ownedEnd {
-				dst = append(dst, Match{Pos: g, Mismatches: m.Mismatches})
-			}
-		}
-	}
-	x.counters[i].searches.Add(1)
-	x.counters[i].ns.Add(time.Since(start).Nanoseconds())
-	return dst, st, nil
-}
-
-// SearchMethodScratch is the zero-allocation sharded entry point: the
-// query runs through every shard serially with caller-managed memory,
-// appending owned matches to dst (which may be nil). Only the BWT-path
-// methods are supported, exactly like (*Index).SearchMethodScratch;
-// with a warm sc and sufficient dst capacity a call performs no heap
-// allocation.
-func (x *ShardedIndex) SearchMethodScratch(sc *Scratch, dst []Match, pattern []byte, k int, method Method) ([]Match, Stats, error) {
-	var st Stats
-	if _, ok := coreMethods[method]; !ok {
-		return dst, st, fmt.Errorf("%w: method %v has no scratch path (use SearchMethod)", ErrInput, method)
-	}
-	return x.searchSerial(sc, dst, pattern, k, method, nil)
-}
-
-// MapAll runs every query across workers goroutines; it is
-// MapAllContext with a background context.
-func (x *ShardedIndex) MapAll(queries []Query, method Method, workers int) []Result {
-	return x.MapAllContext(context.Background(), queries, method, workers)
-}
-
-// MapShards runs every query against only the given shards; it is
-// MapShardsContext with a background context.
-func (x *ShardedIndex) MapShards(queries []Query, method Method, workers int, shards []int) []Result {
-	return x.MapShardsContext(context.Background(), queries, method, workers, shards)
-}
-
 // MapShardsContext is MapAllContext restricted to a subset of shards:
 // every query runs against exactly the shards listed (strictly
 // increasing ordinals), and each result carries only the matches those
@@ -573,55 +383,25 @@ func (x *ShardedIndex) MapShards(queries []Query, method Method, workers int, sh
 // the cluster tier's exactly-once contract. An invalid shard set fails
 // every query with ErrInput.
 func (x *ShardedIndex) MapShardsContext(ctx context.Context, queries []Query, method Method, workers int, shards []int) []Result {
-	results := make([]Result, len(queries))
-	if err := x.checkShardSet(shards); err != nil {
+	if err := x.CheckShardSet(shards); err != nil {
+		results := make([]Result, len(queries))
 		for i := range results {
 			results[i] = Result{Err: err}
 		}
 		return results
 	}
-	run := func(sc *Scratch, i int) {
-		if err := ctx.Err(); err != nil {
-			results[i] = Result{Err: err}
-			return
-		}
-		q := queries[i]
-		m, st, err := x.searchShardSet(sc, nil, q.Pattern, q.K, method, shards)
-		results[i] = Result{Matches: m, Stats: st, Err: err}
-	}
-	runQueries(len(queries), workers, run)
-	return results
+	return mapQueries(ctx, queries, workers, func(sc *Scratch, q Query) ([]Match, Stats, error) {
+		return x.searchShards(sc, nil, q.Pattern, q.K, method, nil, shards)
+	})
 }
 
 // MapAllContext runs every query with the given method across workers
 // goroutines and returns results in query order, with the same
 // distribution, ordering and cancellation contract as
 // (*Index).MapAllContext. Parallelism is across queries, not shards:
-// each worker pins one Scratch and walks all shards serially per query,
-// so the zero-alloc scratch path is reused with no nested fan-out.
+// each worker pins one Scratch and walks all shards serially per query.
 func (x *ShardedIndex) MapAllContext(ctx context.Context, queries []Query, method Method, workers int) []Result {
-	results := make([]Result, len(queries))
-	_, coreMethod := coreMethods[method]
-	run := func(sc *Scratch, i int) {
-		if err := ctx.Err(); err != nil {
-			results[i] = Result{Err: err}
-			return
-		}
-		q := queries[i]
-		var (
-			m   []Match
-			st  Stats
-			err error
-		)
-		if coreMethod {
-			m, st, err = x.SearchMethodScratch(sc, nil, q.Pattern, q.K, method)
-		} else {
-			m, st, err = x.searchSerial(sc, nil, q.Pattern, q.K, method, nil)
-		}
-		results[i] = Result{Matches: m, Stats: st, Err: err}
-	}
-	runQueries(len(queries), workers, run)
-	return results
+	return mapAll(ctx, x, queries, method, workers)
 }
 
 // CheckInvariants verifies cross-shard consistency: the manifest's

@@ -68,11 +68,11 @@ func TestShardedEquivalence(t *testing.T) {
 				pattern = append([]byte(nil), target[p:p+m]...)
 			}
 			for _, method := range []Method{AlgorithmA, BWTBaseline, Seed} {
-				want, _, err := mono.SearchMethod(pattern, k, method)
+				want, _, err := SearchMethod(mono, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := sh.SearchMethod(pattern, k, method)
+				got, _, err := SearchMethod(sh, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,11 +105,11 @@ func TestShardedBoundarySaturation(t *testing.T) {
 		if k > 0 {
 			pattern[3] = 'c' // forces mismatches while keeping matches everywhere
 		}
-		want, _, err := mono.SearchMethod(pattern, k, AlgorithmA)
+		want, _, err := SearchMethod(mono, pattern, k, AlgorithmA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := sh.SearchMethod(pattern, k, AlgorithmA)
+		got, _, err := SearchMethod(sh, pattern, k, AlgorithmA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +131,15 @@ func TestShardedRejectsLongPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Search(randomDNA(rng, 21), 1); !errors.Is(err, ErrInput) {
+	if _, err := Search(sh, randomDNA(rng, 21), 1); !errors.Is(err, ErrInput) {
 		t.Fatalf("over-long pattern: error = %v, want ErrInput", err)
 	}
-	if _, err := sh.Search(randomDNA(rng, 20), 1); err != nil {
+	if _, err := Search(sh, randomDNA(rng, 20), 1); err != nil {
 		t.Fatalf("bound-length pattern rejected: %v", err)
 	}
 	// The scratch path enforces the same bound.
 	sc := NewScratch()
-	if _, _, err := sh.SearchMethodScratch(sc, nil, randomDNA(rng, 21), 1, AlgorithmA); !errors.Is(err, ErrInput) {
+	if _, _, err := sh.SearchMethodScratch(sc, nil, randomDNA(rng, 21), 1, AlgorithmA, nil); !errors.Is(err, ErrInput) {
 		t.Fatalf("scratch path accepted over-long pattern: %v", err)
 	}
 }
@@ -180,8 +180,8 @@ func TestShardedRefsResolve(t *testing.T) {
 	}
 	// Pattern from inside chr2 must resolve identically on both layouts.
 	pattern := refs[1].Seq[100:124]
-	sm, _ := sh.Search(pattern, 1)
-	mm, _ := mono.Search(pattern, 1)
+	sm, _ := Search(sh, pattern, 1)
+	mm, _ := Search(mono, pattern, 1)
 	if len(sm) != len(mm) {
 		t.Fatalf("sharded %d matches, monolithic %d", len(sm), len(mm))
 	}
@@ -203,11 +203,11 @@ func TestShardedSearchBest(t *testing.T) {
 		p := rng.Intn(len(target) - m)
 		pattern := append([]byte(nil), target[p:p+m]...)
 		pattern[rng.Intn(m)] = "acgt"[rng.Intn(4)]
-		wb, wm, err := mono.SearchBest(pattern, 3)
+		wb, wm, err := SearchBest(mono, pattern, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, gm, err := sh.SearchBest(pattern, 3)
+		gb, gm, err := SearchBest(sh, pattern, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestShardedScratchZeroAlloc(t *testing.T) {
 	for range 3 {
 		for _, p := range pats {
 			var err error
-			dst, _, err = sh.SearchMethodScratch(sc, dst[:0], p, 2, AlgorithmA)
+			dst, _, err = sh.SearchMethodScratch(sc, dst[:0], p, 2, AlgorithmA, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +288,7 @@ func TestShardedScratchZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, p := range pats {
-			dst, _, _ = sh.SearchMethodScratch(sc, dst[:0], p, 2, AlgorithmA)
+			dst, _, _ = sh.SearchMethodScratch(sc, dst[:0], p, 2, AlgorithmA, nil)
 		}
 	})
 	if allocs != 0 {
@@ -305,7 +305,7 @@ func TestShardedTelemetry(t *testing.T) {
 	}
 	const rounds = 4
 	for i := 0; i < rounds; i++ {
-		if _, err := sh.Search(randomDNA(rng, 12), 1); err != nil {
+		if _, err := Search(sh, randomDNA(rng, 12), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,11 +366,11 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	for q := 0; q < 15; q++ {
 		m := 8 + rng.Intn(24)
 		pattern := randomDNA(rng, m)
-		a, _, err := orig.SearchMethod(pattern, 2, AlgorithmA)
+		a, _, err := SearchMethod(orig, pattern, 2, AlgorithmA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := loaded.SearchMethod(pattern, 2, AlgorithmA)
+		b, _, err := SearchMethod(loaded, pattern, 2, AlgorithmA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,8 +454,8 @@ func TestLoadAnyFileDispatch(t *testing.T) {
 	defer s2.Close()
 
 	pattern := target[200:220]
-	a, _ := m1.Search(pattern, 1)
-	b, _ := m2.Search(pattern, 1)
+	a, _ := Search(m1, pattern, 1)
+	b, _ := Search(m2, pattern, 1)
 	if len(a) != len(b) {
 		t.Fatalf("layouts disagree: %d vs %d", len(a), len(b))
 	}
@@ -507,7 +507,7 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	if err := x.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Search([]byte("acgtacgt"), 1); err != nil {
+	if _, err := Search(x, []byte("acgtacgt"), 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -543,7 +543,7 @@ func TestMapShardsContext(t *testing.T) {
 		}
 	}
 	ge := sh.MapShardsContext(context.Background(), queries, AlgorithmA, 2, evens)
-	go_ := sh.MapShards(queries, AlgorithmA, 2, odds)
+	go_ := sh.MapShardsContext(context.Background(), queries, AlgorithmA, 2, odds)
 	for i := range queries {
 		if ge[i].Err != nil || go_[i].Err != nil {
 			t.Fatalf("query %d: subset errors %v / %v", i, ge[i].Err, go_[i].Err)

@@ -127,11 +127,11 @@ func TestStreamBuilderRefsByteIdentical(t *testing.T) {
 	}
 	defer x.Close()
 	pat := refs[0].Seq[100:140]
-	gotM, err := x.Search(pat, 1)
+	gotM, err := Search(x, pat, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantM, err := mono.Search(pat, 1)
+	wantM, err := Search(mono, pat, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestOpenAppendEquivalence(t *testing.T) {
 	for _, at := range []int{0, 1111, len(base) - 16, len(base) - 1, len(base), len(full) - 32} {
 		pat := full[at : at+32]
 		for k := 0; k <= 2; k++ {
-			gotM, err := x.Search(pat, k)
+			gotM, err := Search(x, pat, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantM, err := mono.Search(pat, k)
+			wantM, err := Search(mono, pat, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 			sawMemoHit = sawMemoHit || stats.MemoHits > 0
 
 			// Tracing must not change the answer or the work done.
-			plain, plainStats, err := idx.SearchMethod(pat, 8, method)
+			plain, plainStats, err := bwtmatch.SearchMethod(idx, pat, 8, method)
 			if err != nil {
 				t.Fatal(err)
 			}
