@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test race race-server vet kmvet lint lint-report invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
+.PHONY: build test perfbench-test race race-server vet kmvet lint lint-report invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module (`replace bwtmatch => ../`), so the root
+# `go test ./...` never builds it; vet and test it here so a library
+# change that breaks what the benchmark calls fails the gate.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The server package is the repo's first concurrent-mutation code path
 # (registry writes under reads, drain vs in-flight searches); always run
@@ -117,7 +123,7 @@ trace-smoke:
 	$(GO) test -run='^TestTraceSmoke$$' -count=1 ./server/cluster/...
 
 # The one-stop pre-commit gate.
-check: lint race-server race invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
+check: lint perfbench-test race-server race invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -295,14 +295,15 @@ func (x *Index) SearchEdits(pattern []byte, k int) ([]EditMatch, error) {
 
 // MTreeLeaves runs Algorithm A and returns the paper's n′ statistic
 // without locating occurrences (used by the Table 2 reproduction).
+// It validates the query as Search does.
 func (x *Index) MTreeLeaves(pattern []byte, k int) (int, error) {
-	p, err := alphabet.Encode(pattern)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInput, err)
-	}
 	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	p, err := sc.encode(pattern, k)
+	if err != nil {
+		return 0, err
+	}
 	cs, err := x.searcher.CountLeaves(sc.core, p, k)
-	scratchPool.Put(sc)
 	if err != nil {
 		return 0, err
 	}

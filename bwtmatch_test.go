@@ -2,6 +2,7 @@ package bwtmatch
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,30 @@ func TestValidation(t *testing.T) {
 	}
 	if _, _, err := SearchMethod(idx, []byte("acg"), 1, Method(77)); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestMTreeLeavesValidation checks that the n′ entry point rejects the
+// queries Search rejects, with the same ErrInput.
+func TestMTreeLeavesValidation(t *testing.T) {
+	idx, _ := New([]byte("acgtacgt"))
+	for _, c := range []struct {
+		name    string
+		pattern []byte
+		k       int
+	}{
+		{"dirty pattern", []byte("aNg"), 1},
+		{"empty pattern", nil, 1},
+		{"negative k", []byte("acg"), -1},
+	} {
+		_, searchErr := Search(idx, c.pattern, c.k)
+		n, err := idx.MTreeLeaves(c.pattern, c.k)
+		if !errors.Is(searchErr, ErrInput) || !errors.Is(err, ErrInput) {
+			t.Errorf("%s: MTreeLeaves = %d, %v; Search error %v; want ErrInput from both", c.name, n, err, searchErr)
+		}
+	}
+	if n, err := idx.MTreeLeaves([]byte("acg"), 1); err != nil || n == 0 {
+		t.Errorf("valid query: MTreeLeaves = %d, %v", n, err)
 	}
 }
 

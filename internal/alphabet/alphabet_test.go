@@ -159,7 +159,8 @@ func TestPackRoundTrip(t *testing.T) {
 		if p.Len() != len(ranks) {
 			return false
 		}
-		return bytes.Equal(p.Unpack(), ranks)
+		return bytes.Equal(p.Unpack(), ranks) &&
+			bytes.Equal(FromWords(p.Words(), len(ranks)).Unpack(), ranks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -30,6 +30,14 @@ func Pack(ranks []byte) (*Packed, error) {
 	return p, nil
 }
 
+// FromWords wraps a payload taken from Words as a packed text of n
+// bases; words must hold at least (n+31)/32 entries.
+func FromWords(words []uint64, n int) *Packed { return &Packed{words: words, n: n} }
+
+// Words returns the packed payload: the code of base i sits in bits
+// 2(i%32)..2(i%32)+1 of word i/32.
+func (p *Packed) Words() []uint64 { return p.words }
+
 // Len returns the number of bases stored.
 func (p *Packed) Len() int { return p.n }
 

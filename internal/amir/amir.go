@@ -53,21 +53,14 @@ func New(text []byte) *Matcher { return &Matcher{text: text} }
 func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 	var st Stats
 	m, n := len(pattern), len(a.text)
-	if m == 0 {
-		return nil, st, ErrPattern
-	}
-	if k < 0 {
+	if m == 0 || k < 0 {
 		return nil, st, ErrPattern
 	}
 	if m > n {
 		return nil, st, nil
 	}
 	if k >= m {
-		// Every alignment trivially qualifies.
-		out := make([]Match, 0, n-m+1)
-		for p := 0; p+m <= n; p++ {
-			out = append(out, Match{Pos: int32(p), Mismatches: naive.Hamming(a.text[p:p+m], pattern, m)})
-		}
+		out := All(a.text, pattern)
 		st.Matches = len(out)
 		return out, st, nil
 	}
@@ -96,17 +89,36 @@ func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 		return true
 	})
 
-	// Verification with early exit after k+1 mismatches.
+	out := Verify(a.text, pattern, k, candidates)
+	st.Candidates, st.Matches = len(candidates), len(out)
+	return out, st, nil
+}
+
+// All returns every alignment of pattern in text with its Hamming
+// distance: the answer when k >= len(pattern), where every alignment
+// trivially qualifies. pattern must be no longer than text.
+func All(text, pattern []byte) []Match {
+	m := len(pattern)
+	out := make([]Match, 0, len(text)-m+1)
+	for p := 0; p+m <= len(text); p++ {
+		out = append(out, Match{Pos: int32(p), Mismatches: naive.Hamming(text[p:p+m], pattern, m)})
+	}
+	return out
+}
+
+// Verify checks every candidate alignment start of pattern in text
+// (each must leave room for the whole pattern), with early exit after
+// k+1 mismatches, and returns the occurrences sorted by position.
+func Verify(text, pattern []byte, k int, candidates map[int32]struct{}) []Match {
+	m := len(pattern)
 	out := make([]Match, 0, len(candidates))
 	for p := range candidates {
-		st.Candidates++
-		if d := naive.Hamming(a.text[p:int(p)+m], pattern, k); d <= k {
+		if d := naive.Hamming(text[p:int(p)+m], pattern, k); d <= k {
 			out = append(out, Match{Pos: p, Mismatches: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	st.Matches = len(out)
-	return out, st, nil
+	return out
 }
 
 // Breaks partitions pattern (of length m > k) into k+1 disjoint,

@@ -238,7 +238,11 @@ func boundedAllocInBody(p *Package, body *ast.BlockStmt) []Finding {
 		if !ok {
 			return true
 		}
-		switch fun := ast.Unparen(call.Fun).(type) {
+		callee := ast.Unparen(call.Fun)
+		if ix, ok := callee.(*ast.IndexExpr); ok {
+			callee = ix.X // binio.ReadSlice[T](...)
+		}
+		switch fun := callee.(type) {
 		case *ast.Ident:
 			if _, isBuiltin := p.Info.Uses[fun].(*types.Builtin); isBuiltin && fun.Name == "make" {
 				for _, sz := range call.Args[1:] {

@@ -6,6 +6,8 @@ package badboundedalloc
 import (
 	"encoding/binary"
 	"io"
+
+	"bwtmatch/internal/binio"
 )
 
 const maxLen = 1 << 20
@@ -27,6 +29,16 @@ func propagated(data []byte) []uint64 {
 	raw := binary.LittleEndian.Uint64(data)
 	count := int(raw)
 	return make([]uint64, count) // want boundedalloc
+}
+
+// instantiated: an explicitly instantiated binio.ReadSlice is a sink
+// like the plain call.
+func instantiated(r io.Reader) ([]uint64, error) {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, err
+	}
+	return binio.ReadSlice[uint64](r, n) // want boundedalloc
 }
 
 // guarded is compliant: the reject-form cap dominates the allocation.

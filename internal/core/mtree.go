@@ -157,14 +157,15 @@ func ivKey(iv fmindex.Interval) uint64 {
 	return uint64(uint32(iv.Lo))<<32 | uint64(uint32(iv.Hi))
 }
 
-// searchMTree runs Algorithm A for one pattern. usePhi composes the φ(i)
-// bound with the derivation machinery (the production configuration);
-// disabling it reproduces the paper's unpruned Algorithm A for ablations.
-// All working memory comes from sc; a warm Scratch makes this
-// allocation-free.
-func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, usePhi bool, stats *Stats, tr obs.Tracer) []leaf {
-	sc.memo.begin()
-	sc.src.Reset(pattern)
+// traverse runs the k-mismatch walk for one pattern and returns its
+// surviving leaves. The four BWT-path methods are this one walk under two
+// switches: usePhi enables the φ(i) bound of [34] (§IV-A; when off, φ is
+// all zeros), and useMemo enables Algorithm A's M-tree memo (§IV-C/D).
+// With the memo off the walk is smallWalk from the root — the S-tree of
+// [34] with the singleton shortcut — and neither the memo table nor the
+// pattern's mismatch source is touched. All working memory comes from
+// sc; a warm Scratch makes this allocation-free.
+func (s *Searcher) traverse(sc *Scratch, pattern []byte, k int, usePhi, useMemo bool, stats *Stats, tr obs.Tracer) []leaf {
 	a := &sc.as
 	*a = asearch{
 		s:     s,
@@ -202,6 +203,12 @@ func (s *Searcher) searchMTree(sc *Scratch, pattern []byte, k int, usePhi bool, 
 	if k < a.phi[0] {
 		return nil
 	}
+	if !useMemo {
+		a.smallWalk(s.idx.Full(), 0, k, 0)
+		return a.out
+	}
+	sc.memo.begin()
+	sc.src.Reset(pattern)
 	a.walk(s.idx.Full(), 0, k, 0)
 	return a.out
 }
@@ -224,10 +231,11 @@ func (a *asearch) walk(iv fmindex.Interval, j, brem, e int) {
 	a.exploreFresh(iv, j, brem, e)
 }
 
-// smallWalk is a plain φ-pruned DFS over a narrow interval's subtree —
-// no memoization, no structure, no allocation beyond the shared scratch
-// stack. Narrow subtrees degrade into a handful of singleton chains
-// almost immediately, so this is the cheapest way through them.
+// smallWalk is a plain φ-pruned DFS over iv's subtree — no memoization,
+// no structure, no allocation. Algorithm A sends narrow intervals here:
+// their subtrees degrade into a handful of singleton chains almost
+// immediately, so this is the cheapest way through them. With the memo
+// off it walks the whole S-tree from the root.
 func (a *asearch) smallWalk(iv fmindex.Interval, j, brem, e int) {
 	if iv.Len() == 1 {
 		a.singletonWalk(iv, j, brem, e)

@@ -1,16 +1,13 @@
 package core
 
-import (
-	"bwtmatch/internal/fmindex"
-	"bwtmatch/internal/mismatch"
-)
+import "bwtmatch/internal/mismatch"
 
 // Scratch is the reusable per-search working set: the M-tree run and
-// branch arenas, the interval memo, the φ buffers, the S-tree stack, the
-// leaf list and the locate buffer. A warm Scratch lets FindScratch run
-// without any heap allocation (DESIGN.md §8), which is where the map
-// memo and the fresh per-query slices of the original implementation
-// spent a large share of wall-clock.
+// branch arenas, the interval memo, the φ buffers, the leaf list and the
+// locate buffer. A warm Scratch lets FindScratch run without any heap
+// allocation (DESIGN.md §8), which is where the map memo and the fresh
+// per-query slices of the original implementation spent a large share
+// of wall-clock.
 //
 // A Scratch is not safe for concurrent use; pin one per worker
 // goroutine (bwtmatch.MapAllContext does) or recycle through a
@@ -24,12 +21,11 @@ type Scratch struct {
 	out    []leaf
 	phi    []int
 	absent []int
-	frames []frame
 	locBuf []int32
 	src    mismatch.IterSource
 	as     asearch
 	// stats is the working counter block for an in-flight search. It
-	// lives here (not on the caller's stack) because the M-tree search
+	// lives here (not on the caller's stack) because the traversal
 	// stores its address in the heap-resident asearch, which would
 	// otherwise force a per-call heap allocation of a stack Stats.
 	stats Stats
@@ -38,13 +34,6 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use and
 // are retained across searches.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// frame is one pending S-tree node of the brute-force traversal.
-type frame struct {
-	iv   fmindex.Interval
-	j    int
-	mism int
-}
 
 // intBuf returns buf resized to n entries, reallocating only when the
 // capacity is insufficient. Contents are unspecified.

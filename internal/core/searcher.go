@@ -3,7 +3,9 @@
 // pruning heuristic (the paper's "BWT" baseline, §IV-A) and the paper's
 // contribution, Algorithm A, which builds a mismatching tree (M-tree) and
 // derives repeated subtrees from precomputed pattern mismatch information
-// instead of re-searching the BWT (§IV-C/D).
+// instead of re-searching the BWT (§IV-C/D). All four methods run one
+// traversal, Algorithm A's, with the φ bound and the M-tree memo as
+// switches.
 //
 // The index is built over the REVERSE of the target, so the pattern is
 // consumed left-to-right (each consumed character is one backward-search
@@ -26,10 +28,12 @@ import (
 type Method int
 
 const (
-	// MethodSTree is the brute-force S-tree traversal without pruning.
+	// MethodSTree is the brute-force S-tree traversal without pruning:
+	// Algorithm A's walk with the φ bound and the memo off.
 	MethodSTree Method = iota
 	// MethodSTreePhi is the S-tree traversal with the φ(i) heuristic of
 	// [34]: prune when mismatches-used + φ(next position) exceeds k.
+	// It is Algorithm A's walk with the memo off.
 	MethodSTreePhi
 	// MethodMTree is the paper's Algorithm A: S-tree traversal with a hash
 	// table of BWT intervals and M-tree subtree derivation via pattern
@@ -39,6 +43,15 @@ const (
 	// without the φ(i) bound (ablation).
 	MethodMTreeNoPhi
 )
+
+// switches holds each method's two traversal switches: the φ(i) bound
+// and Algorithm A's M-tree memo.
+var switches = [...]struct{ phi, memo bool }{
+	MethodSTree:      {false, false},
+	MethodSTreePhi:   {true, false},
+	MethodMTree:      {true, true},
+	MethodMTreeNoPhi: {false, true},
+}
 
 // String names the method as in the paper's experiment section.
 func (m Method) String() string {
@@ -65,7 +78,7 @@ type Match struct {
 // Stats reports work counters of one search; the paper's Table 2 reports
 // MTreeLeaves (n′).
 type Stats struct {
-	// Nodes is the number of S-tree nodes materialized by live search.
+	// Nodes is the number of S-tree nodes expanded by live search.
 	Nodes int
 	// StepCalls is the number of BWT StepAll invocations (rank work).
 	StepCalls int
@@ -83,8 +96,6 @@ type Stats struct {
 	// because the cached subtree was explored with a smaller budget or to
 	// a smaller depth (see DESIGN.md §3.4).
 	LiveFallbacks int
-	// PhiPruned counts branches cut by the φ(i) heuristic.
-	PhiPruned int
 	// LocateNS is the wall time spent resolving surviving leaves to text
 	// positions (the SA-sample LF walks), separated from the traversal so
 	// occ-path improvements are not masked by locate cost in benchmarks.
@@ -103,11 +114,7 @@ var ErrPattern = errors.New("core: invalid pattern")
 // NewSearcher builds a Searcher for a rank-encoded target text (values
 // 1..4). The index is constructed over the reversed text per §IV.
 func NewSearcher(text []byte, opts fmindex.Options) (*Searcher, error) {
-	rev := make([]byte, len(text))
-	for i, b := range text {
-		rev[len(text)-1-i] = b
-	}
-	idx, err := fmindex.Build(rev, opts)
+	idx, err := fmindex.Build(alphabet.Reverse(slices.Clone(text)), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -138,11 +145,11 @@ func (s *Searcher) Index() *fmindex.Index { return s.idx }
 // M-tree path — so the EvLeaf count equals Stats.MTreeLeaves (the
 // paper's n′) — one EvMerge per memoized derivation (equals
 // Stats.MemoHits), one EvFallback per live fallback, and EvExpand for
-// every fresh multi-row expansion. A nil tr follows the exact untraced
-// code path.
+// every fresh multi-row expansion. A nil tr runs the same code and
+// skips every emit.
 func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr obs.Tracer) ([]Match, Stats, error) {
-	// The counters live in sc so that taking their address (the M-tree
-	// search stores it in the heap-resident asearch) does not force a
+	// The counters live in sc so that taking their address (the
+	// traversal stores it in the heap-resident asearch) does not force a
 	// heap allocation of a stack-local Stats on every call.
 	sc.stats = Stats{}
 	stats := &sc.stats
@@ -157,6 +164,9 @@ func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, 
 	if k < 0 {
 		return dst, *stats, fmt.Errorf("%w: negative k", ErrPattern)
 	}
+	if method < 0 || int(method) >= len(switches) {
+		return dst, *stats, fmt.Errorf("core: unknown method %d", method)
+	}
 	if len(pattern) > s.n {
 		return dst, *stats, nil
 	}
@@ -164,22 +174,8 @@ func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, 
 	if tr != nil {
 		tr.Begin("traverse")
 	}
-	var leaves []leaf
-	switch method {
-	case MethodSTree:
-		leaves = s.searchSTree(sc, pattern, k, false, stats, tr)
-	case MethodSTreePhi:
-		leaves = s.searchSTree(sc, pattern, k, true, stats, tr)
-	case MethodMTree:
-		leaves = s.searchMTree(sc, pattern, k, true, stats, tr)
-	case MethodMTreeNoPhi:
-		leaves = s.searchMTree(sc, pattern, k, false, stats, tr)
-	default:
-		if tr != nil {
-			tr.End()
-		}
-		return dst, *stats, fmt.Errorf("core: unknown method %d", method)
-	}
+	sw := switches[method]
+	leaves := s.traverse(sc, pattern, k, sw.phi, sw.memo, stats, tr)
 	if tr != nil {
 		tr.End(
 			obs.Arg{Key: "step_calls", Val: int64(stats.StepCalls)},
@@ -194,19 +190,10 @@ func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, 
 	out := dst
 	buf := sc.locBuf
 	m := len(pattern)
-	if tr == nil {
-		for _, lf := range leaves {
-			buf = s.idx.Locate(lf.iv, buf[:0])
-			for _, p := range buf {
-				out = append(out, Match{Pos: int32(s.n) - p - int32(m), Mismatches: lf.mism})
-			}
-		}
-	} else {
-		for _, lf := range leaves {
-			buf = s.idx.LocateTraced(lf.iv, buf[:0], tr)
-			for _, p := range buf {
-				out = append(out, Match{Pos: int32(s.n) - p - int32(m), Mismatches: lf.mism})
-			}
+	for _, lf := range leaves {
+		buf = s.idx.LocateTraced(lf.iv, buf[:0], tr)
+		for _, p := range buf {
+			out = append(out, Match{Pos: int32(s.n) - p - int32(m), Mismatches: lf.mism})
 		}
 	}
 	sc.locBuf = buf
@@ -233,6 +220,6 @@ func (s *Searcher) CountLeaves(sc *Scratch, pattern []byte, k int) (Stats, error
 	if len(pattern) == 0 || len(pattern) > s.n {
 		return stats, nil
 	}
-	s.searchMTree(sc, pattern, k, true, &stats, nil)
+	s.traverse(sc, pattern, k, true, true, &stats, nil)
 	return stats, nil
 }

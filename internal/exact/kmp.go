@@ -1,9 +1,10 @@
-// Package exact implements the classical exact string matchers the paper
-// surveys in §II — Knuth–Morris–Pratt, Boyer–Moore(–Horspool), and the
-// Aho–Corasick multi-pattern automaton — used both as standalone tools and
-// as the seed-filter substrate of the Amir baseline (internal/amir).
+// Package exact implements the classical exact-matching pieces the Amir
+// baseline (internal/amir) is built on: the Knuth–Morris–Pratt failure
+// function and the string period it yields, which steer break
+// selection, and the Aho–Corasick multi-pattern automaton, which scans
+// the target for all blocks in one pass (paper §II).
 //
-// All matchers operate on arbitrary byte strings; the DNA pipeline passes
+// Everything operates on arbitrary byte strings; the DNA pipeline passes
 // rank-encoded text.
 package exact
 
@@ -23,30 +24,6 @@ func KMPNext(pattern []byte) []int {
 		next[i] = k
 	}
 	return next
-}
-
-// KMP returns all 0-based occurrence positions of pattern in text in
-// O(n + m) time.
-func KMP(text, pattern []byte) []int32 {
-	if len(pattern) == 0 || len(pattern) > len(text) {
-		return nil
-	}
-	next := KMPNext(pattern)
-	var out []int32
-	k := 0
-	for i := 0; i < len(text); i++ {
-		for k > 0 && pattern[k] != text[i] {
-			k = next[k-1]
-		}
-		if pattern[k] == text[i] {
-			k++
-		}
-		if k == len(pattern) {
-			out = append(out, int32(i-k+1))
-			k = next[k-1]
-		}
-	}
-	return out
 }
 
 // Period returns the smallest period of s: the least p >= 1 such that

@@ -1,6 +1,10 @@
 package fmindex
 
-import "bwtmatch/internal/alphabet"
+import (
+	"slices"
+
+	"bwtmatch/internal/alphabet"
+)
 
 // BiIndex is a bidirectional FM-index (the 2BWT of Lam et al.): two
 // synchronized indexes over the text and its reverse, letting a match be
@@ -33,11 +37,7 @@ func BuildBi(text []byte, opts Options) (*BiIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	rev := make([]byte, len(text))
-	for i, b := range text {
-		rev[len(text)-1-i] = b
-	}
-	ri, err := Build(rev, opts)
+	ri, err := Build(alphabet.Reverse(slices.Clone(text)), opts)
 	if err != nil {
 		return nil, err
 	}

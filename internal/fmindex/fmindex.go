@@ -375,6 +375,17 @@ func (idx *Index) Search(pattern []byte) Interval {
 	return iv
 }
 
+// SearchReversed is Search for reverse(p): it consumes p left to right.
+// On an index over a reversed text, the library's orientation, the
+// resulting rows are the occurrences of p in the forward text.
+func (idx *Index) SearchReversed(p []byte) Interval {
+	iv := idx.Full()
+	for i := 0; i < len(p) && !iv.Empty(); i++ {
+		iv = idx.Step(p[i], iv)
+	}
+	return iv
+}
+
 // Count returns the number of exact occurrences of pattern.
 func (idx *Index) Count(pattern []byte) int { return idx.Search(pattern).Len() }
 
@@ -455,24 +466,6 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 	return len(p), steps
 }
 
-// SearchTraced is Search with telemetry: when tr is non-nil every
-// backward-extension step emits one EvStep event carrying the pattern
-// position consumed and the width of the resulting interval. A nil tr
-// takes the plain Search path.
-func (idx *Index) SearchTraced(pattern []byte, tr obs.Tracer) Interval {
-	if tr == nil {
-		return idx.Search(pattern)
-	}
-	iv := idx.Full()
-	for i := len(pattern) - 1; i >= 0 && !iv.Empty(); i-- {
-		iv = idx.Step(pattern[i], iv)
-		tr.Emit(obs.EvStep,
-			obs.Arg{Key: "pos", Val: int64(i)},
-			obs.Arg{Key: "rows", Val: int64(iv.Len())})
-	}
-	return iv
-}
-
 // lfStep is the LF-mapping: the row of the suffix obtained by prepending
 // bwt[row] to the suffix of row.
 func (idx *Index) lfStep(row int32) int32 {
@@ -487,26 +480,14 @@ func (idx *Index) lfStep(row int32) int32 {
 // suffix in the indexed text), using the sampled suffix array: walk LF
 // until a marked row is hit. Results are appended to dst.
 func (idx *Index) Locate(iv Interval, dst []int32) []int32 {
-	for row := iv.Lo; row < iv.Hi; row++ {
-		r, steps := row, int32(0)
-		for !idx.saMarked.Get(int(r)) {
-			r = idx.lfStep(r)
-			steps++
-		}
-		dst = append(dst, idx.saSamples[idx.saMarked.Rank1(int(r))]+steps)
-	}
-	return dst
+	return idx.LocateTraced(iv, dst, nil)
 }
 
 // LocateTraced is Locate with telemetry: when tr is non-nil it emits one
 // EvLocate event per call carrying the number of rows resolved and the
 // total LF-mapping steps walked to reach sampled rows (the suffix-array
-// sampling cost the SARate option trades space against). A nil tr takes
-// the plain Locate path.
+// sampling cost the SARate option trades space against).
 func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) []int32 {
-	if tr == nil {
-		return idx.Locate(iv, dst)
-	}
 	var lf int64
 	for row := iv.Lo; row < iv.Hi; row++ {
 		r, steps := row, int32(0)
@@ -517,9 +498,11 @@ func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) []int32 
 		lf += int64(steps)
 		dst = append(dst, idx.saSamples[idx.saMarked.Rank1(int(r))]+steps)
 	}
-	tr.Emit(obs.EvLocate,
-		obs.Arg{Key: "rows", Val: int64(iv.Len())},
-		obs.Arg{Key: "lf_steps", Val: lf})
+	if tr != nil {
+		tr.Emit(obs.EvLocate,
+			obs.Arg{Key: "rows", Val: int64(iv.Len())},
+			obs.Arg{Key: "lf_steps", Val: lf})
+	}
 	return dst
 }
 

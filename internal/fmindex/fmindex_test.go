@@ -3,6 +3,7 @@ package fmindex
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,6 +171,18 @@ func TestSearchAbsentPattern(t *testing.T) {
 	// Stepping from an empty interval must stay empty.
 	if iv := idx.Step(alphabet.A, Interval{3, 3}); !iv.Empty() {
 		t.Errorf("Step from empty = %v", iv)
+	}
+}
+
+func TestSearchReversedIsSearchOfReverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	idx, _ := Build(randomRanks(rng, 500), DefaultOptions())
+	for trial := 0; trial < 100; trial++ {
+		p := randomRanks(rng, rng.Intn(8))
+		want := idx.Search(alphabet.Reverse(slices.Clone(p)))
+		if got := idx.SearchReversed(p); got != want {
+			t.Fatalf("SearchReversed(%v) = %v, Search of the reverse = %v", p, got, want)
+		}
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"sort"
 
 	"bwtmatch/internal/alphabet"
-	"bwtmatch/internal/binio"
-	"bwtmatch/internal/bitvec"
 	"bwtmatch/internal/relative"
 )
 
@@ -282,13 +280,7 @@ func (idx *Index) WriteRelativeTo(w io.Writer) (int64, error) {
 	if _, err := idx.rel.WriteTo(cw); err != nil {
 		return cw.n, err
 	}
-	markBits := markedBits(idx.saMarked)
-	if err := firstErr(
-		put(uint64(len(markBits))),
-		put(markBits),
-		put(uint64(len(idx.saSamples))),
-		put(idx.saSamples),
-	); err != nil {
+	if err := idx.writeSASamples(put); err != nil {
 		return cw.n, err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
@@ -314,8 +306,6 @@ func ReadRelativeIndex(r io.Reader, base *Index) (*Index, error) {
 	if magic != relIndexMagic {
 		return nil, fmt.Errorf("%w: relative magic %#x", ErrFormat, magic)
 	}
-	const maxLen = 1 << 34
-	const maxRate = 1 << 28
 	if n > maxLen || saRate > maxRate {
 		return nil, fmt.Errorf("%w: n %d sa rate %d", ErrFormat, n, saRate)
 	}
@@ -333,26 +323,8 @@ func ReadRelativeIndex(r io.Reader, base *Index) (*Index, error) {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	idx.rel = delta
-	var markWords uint64
-	if err := get(&markWords); err != nil || markWords > maxLen {
-		return nil, fmt.Errorf("%w: mark length", ErrFormat)
-	}
-	bits, err := binio.ReadSlice[uint64](br, markWords)
-	if err != nil {
-		return nil, fmt.Errorf("%w: marks: %v", ErrFormat, err)
-	}
-	idx.saMarked = bitvec.NewRank(bitvec.FromWords(bits, idx.n+1))
-	var samples uint64
-	if err := get(&samples); err != nil || samples > maxLen {
-		return nil, fmt.Errorf("%w: sample length", ErrFormat)
-	}
-	saSamples, err := binio.ReadSlice[int32](br, samples)
-	if err != nil {
-		return nil, fmt.Errorf("%w: samples: %v", ErrFormat, err)
-	}
-	idx.saSamples = saSamples
-	if int(samples) != idx.saMarked.Ones() {
-		return nil, fmt.Errorf("%w: %d samples for %d marked rows", ErrFormat, samples, idx.saMarked.Ones())
+	if err := idx.readSASamples(br); err != nil {
+		return nil, err
 	}
 	if err := idx.verifyLoad(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)

@@ -26,6 +26,13 @@ const (
 	layoutPacked = uint8(1)
 )
 
+// Sanity caps against corrupt headers: no length field may exceed
+// maxLen, and no plausible sampling rate is as sparse as maxRate.
+const (
+	maxLen  = 1 << 34
+	maxRate = 1 << 28
+)
+
 // ErrFormat reports an unreadable index stream.
 var ErrFormat = errors.New("fmindex: bad index format")
 
@@ -91,20 +98,51 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
-	markBits := markedBits(idx.saMarked)
-	if err := put(uint64(len(markBits))); err != nil {
-		return cw.n, err
-	}
-	if err := put(markBits); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint64(len(idx.saSamples))); err != nil {
-		return cw.n, err
-	}
-	if err := put(idx.saSamples); err != nil {
+	if err := idx.writeSASamples(put); err != nil {
 		return cw.n, err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
+}
+
+// writeSASamples writes the Locate sample block shared by both index
+// formats: the SA-mark bitvector words and the samples, each preceded
+// by its length.
+func (idx *Index) writeSASamples(put func(any) error) error {
+	markBits := markedBits(idx.saMarked)
+	return firstErr(
+		put(uint64(len(markBits))),
+		put(markBits),
+		put(uint64(len(idx.saSamples))),
+		put(idx.saSamples),
+	)
+}
+
+// readSASamples reads the block writeSASamples wrote into idx, whose n
+// must already be set, and checks that there is one sample per marked
+// row.
+func (idx *Index) readSASamples(br *bufio.Reader) error {
+	var markWords uint64
+	if err := binary.Read(br, binary.LittleEndian, &markWords); err != nil || markWords > maxLen {
+		return fmt.Errorf("%w: mark length", ErrFormat)
+	}
+	bits, err := binio.ReadSlice[uint64](br, markWords)
+	if err != nil {
+		return fmt.Errorf("%w: marks: %v", ErrFormat, err)
+	}
+	idx.saMarked = bitvec.NewRank(bitvec.FromWords(bits, idx.n+1))
+	var samples uint64
+	if err := binary.Read(br, binary.LittleEndian, &samples); err != nil || samples > maxLen {
+		return fmt.Errorf("%w: sample length", ErrFormat)
+	}
+	saSamples, err := binio.ReadSlice[int32](br, samples)
+	if err != nil {
+		return fmt.Errorf("%w: samples: %v", ErrFormat, err)
+	}
+	idx.saSamples = saSamples
+	if int(samples) != idx.saMarked.Ones() {
+		return fmt.Errorf("%w: %d samples for %d marked rows", ErrFormat, samples, idx.saMarked.Ones())
+	}
+	return nil
 }
 
 // ReadIndex deserializes an index written by WriteTo.
@@ -134,11 +172,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	idx.n = int(n)
-	const maxLen = 1 << 34 // sanity cap against corrupt headers
 	if n > maxLen {
 		return nil, fmt.Errorf("%w: n %d", ErrFormat, n)
 	}
-	const maxRate = 1 << 28 // no plausible sampling rate is this sparse
 	if occRate > maxRate || saRate > maxRate {
 		return nil, fmt.Errorf("%w: rates occ=%d sa=%d", ErrFormat, occRate, saRate)
 	}
@@ -211,26 +247,8 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	default:
 		return nil, fmt.Errorf("%w: occ layout %d", ErrFormat, occLayout)
 	}
-	var markWords uint64
-	if err := get(&markWords); err != nil || markWords > maxLen {
-		return nil, fmt.Errorf("%w: mark length", ErrFormat)
-	}
-	bits, err := binio.ReadSlice[uint64](br, markWords)
-	if err != nil {
-		return nil, fmt.Errorf("%w: marks: %v", ErrFormat, err)
-	}
-	idx.saMarked = bitvec.NewRank(bitvec.FromWords(bits, idx.n+1))
-	var samples uint64
-	if err := get(&samples); err != nil || samples > maxLen {
-		return nil, fmt.Errorf("%w: sample length", ErrFormat)
-	}
-	saSamples, err := binio.ReadSlice[int32](br, samples)
-	if err != nil {
-		return nil, fmt.Errorf("%w: samples: %v", ErrFormat, err)
-	}
-	idx.saSamples = saSamples
-	if int(samples) != idx.saMarked.Ones() {
-		return nil, fmt.Errorf("%w: %d samples for %d marked rows", ErrFormat, samples, idx.saMarked.Ones())
+	if err := idx.readSASamples(br); err != nil {
+		return nil, err
 	}
 	if err := idx.verifyLoad(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)

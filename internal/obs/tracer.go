@@ -28,7 +28,8 @@ const (
 	// (conceptual) M-tree. Traced leaf events equal Stats.MTreeLeaves,
 	// the paper's n′.
 	EvLeaf
-	// EvStep marks a batch of BWT backward-extension steps.
+	// EvStep marks a batch of BWT backward-extension steps. Nothing in
+	// the module emits it; it keeps its slot so EvLocate keeps its value.
 	EvStep
 	// EvLocate fires once per Locate call, with the resolved row count
 	// and the LF-mapping steps walked to sampled suffix-array entries.

@@ -15,26 +15,17 @@ package seedext
 
 import (
 	"errors"
-	"sort"
 
 	"bwtmatch/internal/amir"
 	"bwtmatch/internal/fmindex"
-	"bwtmatch/internal/naive"
 )
 
-// Stats reports filter effectiveness for one query.
-type Stats struct {
-	Blocks     int // number of exact seed blocks
-	Seeds      int // total located seed occurrences
-	Candidates int // distinct candidate alignments verified
-	Matches    int
-}
-
-// Match is one verified occurrence.
-type Match struct {
-	Pos        int32
-	Mismatches int
-}
+// Match and Stats share the Amir filter's shapes; Stats.Seeds counts
+// located seed occurrences.
+type (
+	Match = amir.Match
+	Stats = amir.Stats
+)
 
 // Matcher answers k-mismatch queries using an FM-index built over the
 // REVERSED target (the same orientation internal/core uses, so one index
@@ -63,10 +54,7 @@ func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 		return nil, st, nil
 	}
 	if k >= m {
-		out := make([]Match, 0, n-m+1)
-		for p := 0; p+m <= n; p++ {
-			out = append(out, Match{Pos: int32(p), Mismatches: naive.Hamming(s.text[p:p+m], pattern, m)})
-		}
+		out := amir.All(s.text, pattern)
 		st.Matches = len(out)
 		return out, st, nil
 	}
@@ -80,7 +68,7 @@ func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 		if i+1 < len(offsets) {
 			end = offsets[i+1]
 		}
-		iv := s.searchForward(pattern[off:end])
+		iv := s.idx.SearchReversed(pattern[off:end])
 		if iv.Empty() {
 			continue
 		}
@@ -98,28 +86,7 @@ func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 		}
 	}
 
-	out := make([]Match, 0, len(candidates))
-	for p := range candidates {
-		st.Candidates++
-		if d := naive.Hamming(s.text[p:int(p)+m], pattern, k); d <= k {
-			out = append(out, Match{Pos: p, Mismatches: d})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	st.Matches = len(out)
+	out := amir.Verify(s.text, pattern, k, candidates)
+	st.Candidates, st.Matches = len(candidates), len(out)
 	return out, st, nil
-}
-
-// searchForward finds the interval of rows of the reversed-text index
-// whose suffixes start with reverse(block) — i.e. the occurrences of
-// block in the forward text — by consuming block left-to-right.
-func (s *Matcher) searchForward(block []byte) fmindex.Interval {
-	iv := s.idx.Full()
-	for _, x := range block {
-		iv = s.idx.Step(x, iv)
-		if iv.Empty() {
-			break
-		}
-	}
-	return iv
 }

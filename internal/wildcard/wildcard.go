@@ -81,7 +81,7 @@ func (w *Matcher) Find(pattern []byte, wildcard byte) ([]int32, error) {
 	bestIdx, bestCount := -1, 0
 	var bestIv fmindex.Interval
 	for i, seg := range segs {
-		iv := w.searchForward(pattern[seg.off:seg.end])
+		iv := w.idx.SearchReversed(pattern[seg.off:seg.end])
 		if iv.Empty() {
 			return nil, nil // a solid segment is absent: no occurrences
 		}
@@ -132,15 +132,4 @@ func solidSegments(pattern []byte, wildcard byte) []segment {
 		i = j
 	}
 	return segs
-}
-
-func (w *Matcher) searchForward(block []byte) fmindex.Interval {
-	iv := w.idx.Full()
-	for _, x := range block {
-		iv = w.idx.Step(x, iv)
-		if iv.Empty() {
-			break
-		}
-	}
-	return iv
 }

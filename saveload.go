@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/binio"
 	"bwtmatch/internal/core"
 	"bwtmatch/internal/fmindex"
@@ -34,7 +35,11 @@ func (x *Index) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(text))); err != nil {
 		return err
 	}
-	words := packedWords(text)
+	packed, err := alphabet.Pack(text)
+	if err != nil {
+		return err
+	}
+	words := packed.Words()
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(words))); err != nil {
 		return err
 	}
@@ -148,7 +153,7 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: text payload: %v", ErrFormat, err)
 	}
-	text := unpackWords(payload, int(n))
+	text := alphabet.FromWords(payload, int(n)).Unpack()
 	refs, err := readRefTable(br, n)
 	if err != nil {
 		return nil, err
@@ -177,21 +182,4 @@ func LoadFile(path string) (*Index, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// packedWords packs rank-encoded bases (1..4) at 2 bits each.
-func packedWords(ranks []byte) []uint64 {
-	words := make([]uint64, (len(ranks)+31)/32)
-	for i, r := range ranks {
-		words[i/32] |= uint64(r-1) << uint((i%32)*2)
-	}
-	return words
-}
-
-func unpackWords(words []uint64, n int) []byte {
-	text := make([]byte, n)
-	for i := range text {
-		text[i] = byte(words[i/32]>>uint((i%32)*2))&3 + 1
-	}
-	return text
 }
