@@ -86,8 +86,12 @@ type Match struct {
 type Stats struct {
 	// MTreeLeaves is the paper's n′ (Table 2) for AlgorithmA/BWTBaseline.
 	MTreeLeaves int
-	// StepCalls counts BWT rank operations.
+	// StepCalls counts the BWT rank operations of the traversal. It
+	// excludes the φ bound's occurrence tests, which PhiSteps counts.
 	StepCalls int
+	// PhiSteps counts the BWT rank operations spent computing the φ(i)
+	// bound (AlgorithmA and BWTBaseline; zero for the other methods).
+	PhiSteps int
 	// MemoHits counts repeated-interval derivations (AlgorithmA).
 	MemoHits int
 	// Candidates counts verified alignments (Amir).

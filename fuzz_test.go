@@ -9,10 +9,12 @@ import (
 	"bwtmatch/internal/naive"
 )
 
-// FuzzSearchMethods cross-checks the three index search methods against
-// the naive oracle on arbitrary byte inputs (sanitized into the DNA
-// alphabet). Run with `go test -fuzz=FuzzSearchMethods` for continuous
-// fuzzing; the seed corpus runs in ordinary `go test`.
+// FuzzSearchMethods cross-checks the four BWT-path methods and Seed
+// against the naive oracle on arbitrary byte inputs (sanitized into the
+// DNA alphabet): every match position and its mismatch count. The φ
+// bound is capped at k+1, so this is the broadest guard on it. Run with
+// `go test -fuzz=FuzzSearchMethods` for continuous fuzzing; the seed
+// corpus runs in ordinary `go test`.
 func FuzzSearchMethods(f *testing.F) {
 	f.Add([]byte("acagaca"), []byte("tcaca"), byte(2))
 	f.Add([]byte("ccacacagaagcc"), []byte("aaaaacaaac"), byte(4))
@@ -40,7 +42,7 @@ func FuzzSearchMethods(f *testing.F) {
 		tr, _ := alphabet.Encode(cleanT)
 		pr, _ := alphabet.Encode(cleanP)
 		want := naive.Find(tr, pr, k)
-		for _, method := range []Method{AlgorithmA, BWTBaseline, Seed} {
+		for _, method := range []Method{AlgorithmA, BWTBaseline, STree, AlgorithmANoPhi, Seed} {
 			got, _, err := SearchMethod(idx, cleanP, k, method)
 			if err != nil {
 				t.Fatalf("%v: %v", method, err)
@@ -52,6 +54,10 @@ func FuzzSearchMethods(f *testing.F) {
 			for i := range got {
 				if int32(got[i].Pos) != want[i] {
 					t.Fatalf("%v position %d: %d vs %d", method, i, got[i].Pos, want[i])
+				}
+				if d := naive.Hamming(tr[want[i]:int(want[i])+len(pr)], pr, len(pr)); got[i].Mismatches != d {
+					t.Fatalf("%v match at %d: %d mismatches, oracle %d (target %q pattern %q k=%d)",
+						method, want[i], got[i].Mismatches, d, cleanT, cleanP, k)
 				}
 			}
 		}

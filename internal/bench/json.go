@@ -29,7 +29,8 @@ type JSONResult struct {
 	Matches     int     `json:"matches"`
 	MTreeLeaves int64   `json:"mtree_leaves"` // Σ n′ across reads
 	MemoHits    int64   `json:"memo_hits"`    // Σ merge short-circuits
-	StepCalls   int64   `json:"step_calls"`   // Σ BWT rank operations
+	StepCalls   int64   `json:"step_calls"`   // Σ traversal rank operations
+	PhiSteps    int64   `json:"phi_steps"`    // Σ rank operations of the φ bound
 }
 
 // JSONReport is the top-level document emitted by kmbench -json.
@@ -234,7 +235,7 @@ func timeCell(idx bwtmatch.Matcher, reads [][]byte, k int, m bwtmatch.Method, ro
 	}
 	best := time.Duration(-1)
 	for r := 0; r < rounds; r++ {
-		var leaves, memo, steps, locNS int64
+		var leaves, memo, steps, phiSteps, locNS int64
 		matches := 0
 		start := time.Now()
 		for _, rd := range reads {
@@ -246,6 +247,7 @@ func timeCell(idx bwtmatch.Matcher, reads [][]byte, k int, m bwtmatch.Method, ro
 			leaves += int64(st.MTreeLeaves)
 			memo += int64(st.MemoHits)
 			steps += int64(st.StepCalls)
+			phiSteps += int64(st.PhiSteps)
 			locNS += st.LocateNS
 		}
 		if d := time.Since(start); best < 0 || d < best {
@@ -256,6 +258,7 @@ func timeCell(idx bwtmatch.Matcher, reads [][]byte, k int, m bwtmatch.Method, ro
 		cell.MTreeLeaves = leaves
 		cell.MemoHits = memo
 		cell.StepCalls = steps
+		cell.PhiSteps = phiSteps
 	}
 	cell.NSPerRead = best.Nanoseconds() / int64(len(reads))
 	cell.MSPerRead = float64(cell.NSPerRead) / 1e6

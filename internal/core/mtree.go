@@ -114,7 +114,7 @@ type asearch struct {
 	r     []byte
 	m, k  int
 	src   *mismatch.IterSource
-	phi   []int // φ lower bounds; all-zero when the φ bound is disabled
+	phi   []int // min(φ, k+1) lower bounds; all-zero when the φ bound is disabled
 	memo  *memoTable
 	runs  []mrun
 	brs   []mbranch
@@ -159,12 +159,12 @@ func ivKey(iv fmindex.Interval) uint64 {
 
 // traverse runs the k-mismatch walk for one pattern and returns its
 // surviving leaves. The four BWT-path methods are this one walk under two
-// switches: usePhi enables the φ(i) bound of [34] (§IV-A; when off, φ is
-// all zeros), and useMemo enables Algorithm A's M-tree memo (§IV-C/D).
-// With the memo off the walk is smallWalk from the root — the S-tree of
-// [34] with the singleton shortcut — and neither the memo table nor the
-// pattern's mismatch source is touched. All working memory comes from
-// sc; a warm Scratch makes this allocation-free.
+// switches: usePhi enables the φ(i) bound of [34] (§IV-A), capped at k+1
+// (when off, φ is all zeros), and useMemo enables Algorithm A's M-tree
+// memo (§IV-C/D). With the memo off the walk is smallWalk from the root —
+// the S-tree of [34] with the singleton shortcut — and neither the memo
+// table nor the pattern's mismatch source is touched. All working memory
+// comes from sc; a warm Scratch makes this allocation-free.
 func (s *Searcher) traverse(sc *Scratch, pattern []byte, k int, usePhi, useMemo bool, stats *Stats, tr obs.Tracer) []leaf {
 	a := &sc.as
 	*a = asearch{
@@ -188,12 +188,11 @@ func (s *Searcher) traverse(sc *Scratch, pattern []byte, k int, usePhi, useMemo 
 		if tr != nil {
 			tr.Begin("phi")
 		}
-		var phiSteps int
-		a.phi, phiSteps = s.computePhi(sc, pattern)
+		a.phi, stats.PhiSteps = s.computePhi(sc, pattern, k)
 		if tr != nil {
 			tr.End(
 				obs.Arg{Key: "phi0", Val: int64(a.phi[0])},
-				obs.Arg{Key: "step_calls", Val: int64(phiSteps)})
+				obs.Arg{Key: "step_calls", Val: int64(stats.PhiSteps)})
 		}
 	} else {
 		sc.phi = intBuf(sc.phi, len(pattern)+1)

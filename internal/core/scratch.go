@@ -3,7 +3,7 @@ package core
 import "bwtmatch/internal/mismatch"
 
 // Scratch is the reusable per-search working set: the M-tree run and
-// branch arenas, the interval memo, the φ buffers, the leaf list and the
+// branch arenas, the interval memo, the φ buffer, the leaf list and the
 // locate buffer. A warm Scratch lets FindScratch run without any heap
 // allocation (DESIGN.md §8), which is where the map memo and the fresh
 // per-query slices of the original implementation spent a large share
@@ -20,7 +20,6 @@ type Scratch struct {
 	brs    []mbranch
 	out    []leaf
 	phi    []int
-	absent []int
 	locBuf []int32
 	src    mismatch.IterSource
 	as     asearch

@@ -80,8 +80,12 @@ type Match struct {
 type Stats struct {
 	// Nodes is the number of S-tree nodes expanded by live search.
 	Nodes int
-	// StepCalls is the number of BWT StepAll invocations (rank work).
+	// StepCalls is the number of BWT rank steps the traversal spent. It
+	// excludes φ's occurrence tests, which PhiSteps counts.
 	StepCalls int
+	// PhiSteps is the number of rank steps spent computing the φ bound
+	// (the MatchLen probes of computePhi); zero when φ is off.
+	PhiSteps int
 	// MTreeLeaves is n′: the number of maximal root-to-leaf paths of the
 	// (conceptual) M-tree, counting both live-explored and derived paths.
 	MTreeLeaves int

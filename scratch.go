@@ -171,6 +171,7 @@ func searchPooled(m Matcher, pattern []byte, k int, method Method, tr Tracer) ([
 func (st *Stats) fromCore(cs core.Stats) {
 	st.MTreeLeaves = cs.MTreeLeaves
 	st.StepCalls = cs.StepCalls
+	st.PhiSteps = cs.PhiSteps
 	st.MemoHits = cs.MemoHits
 	st.LocateNS = cs.LocateNS
 }
@@ -180,6 +181,7 @@ func (st *Stats) fromCore(cs core.Stats) {
 func (st *Stats) add(o Stats) {
 	st.MTreeLeaves += o.MTreeLeaves
 	st.StepCalls += o.StepCalls
+	st.PhiSteps += o.PhiSteps
 	st.MemoHits += o.MemoHits
 	st.Candidates += o.Candidates
 	st.Visited += o.Visited

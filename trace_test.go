@@ -39,8 +39,9 @@ func repeatHeavyTarget(t *testing.T, n int) []byte {
 // TestTracerEventCountsMatchStats pins the tracing contract: the
 // recorded instant events are exactly the paper's work counters. Every
 // Stats.MTreeLeaves increment emits one EvLeaf and every Stats.MemoHits
-// one EvMerge — so a timeline is a faithful expansion of the aggregate
-// counters, never an estimate.
+// one EvMerge, and the phi and traverse spans carry Stats.PhiSteps and
+// Stats.StepCalls — so a timeline is a faithful expansion of the
+// aggregate counters, never an estimate.
 func TestTracerEventCountsMatchStats(t *testing.T) {
 	target := repeatHeavyTarget(t, 1<<16)
 	idx, err := bwtmatch.New(target)
@@ -71,6 +72,23 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 			if b, e := rec.CountKind(obs.EvBegin), rec.CountKind(obs.EvEnd); b != e {
 				t.Errorf("%v trial %d: unbalanced spans: %d begins, %d ends", method, trial, b, e)
 			}
+			// The phase spans report the Stats counters, not estimates:
+			// the phi span's step_calls is PhiSteps (no phi span, and
+			// PhiSteps 0, when the method runs without the φ bound) and
+			// the traverse span's is StepCalls.
+			phiSteps, hasPhi := spanArg(rec, "phi", "step_calls")
+			if hasPhi != (method == bwtmatch.AlgorithmA || method == bwtmatch.BWTBaseline) {
+				t.Errorf("%v trial %d: phi span present = %v", method, trial, hasPhi)
+			}
+			if phiSteps != int64(stats.PhiSteps) {
+				t.Errorf("%v trial %d: phi span step_calls = %d, Stats.PhiSteps = %d", method, trial, phiSteps, stats.PhiSteps)
+			}
+			if hasPhi && stats.PhiSteps == 0 {
+				t.Errorf("%v trial %d: φ was computed in 0 rank steps", method, trial)
+			}
+			if got, _ := spanArg(rec, "traverse", "step_calls"); got != int64(stats.StepCalls) {
+				t.Errorf("%v trial %d: traverse span step_calls = %d, Stats.StepCalls = %d", method, trial, got, stats.StepCalls)
+			}
 			sawMemoHit = sawMemoHit || stats.MemoHits > 0
 
 			// Tracing must not change the answer or the work done.
@@ -91,6 +109,23 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 	if !sawMemoHit {
 		t.Error("no trial exercised the merge path (MemoHits stayed 0); grow the repeat structure")
 	}
+}
+
+// spanArg returns the named argument of the first span called name and
+// whether such a span was recorded (0 if the span lacks the argument).
+func spanArg(rec *obs.Recorder, name, key string) (int64, bool) {
+	for _, e := range rec.Events() {
+		if e.Kind != obs.EvEnd || e.Name != name {
+			continue
+		}
+		for _, a := range e.Args {
+			if a.Key == key {
+				return a.Val, true
+			}
+		}
+		return 0, true
+	}
+	return 0, false
 }
 
 // TestTraceChromeExport checks a recorded search renders as loadable
