@@ -165,7 +165,7 @@ func BenchmarkFig12_PerGenome(b *testing.B) {
 // size is reported as a metric.
 func BenchmarkFig13_OccRate(b *testing.B) {
 	base := corpus(b, 0)
-	for _, rate := range []int{4, 16, 64, 128} {
+	for _, rate := range []int{4, 16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("occrate=%d", rate), func(b *testing.B) {
 			idx, err := bwtmatch.New(decoded(base), bwtmatch.WithOccRate(rate))
 			if err != nil {

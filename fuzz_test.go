@@ -3,6 +3,8 @@ package bwtmatch
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"bwtmatch/internal/alphabet"
@@ -65,17 +67,24 @@ func FuzzSearchMethods(f *testing.F) {
 }
 
 // FuzzSaveLoad checks that any index round-trips bit-identically through
-// the serializer.
+// the serializer, at any rankall spacing: rate 0 builds the default,
+// any other value a spacing of 1 to 128, most of which are not powers
+// of two and take the division branch of the checkpoint lookup.
 func FuzzSaveLoad(f *testing.F) {
-	f.Add([]byte("acgtacgt"))
-	f.Add([]byte("a"))
-	f.Add([]byte("ccacacagaagcc"))
-	f.Fuzz(func(t *testing.T, target []byte) {
+	f.Add([]byte("acgtacgt"), uint8(0))
+	f.Add([]byte("a"), uint8(4))
+	f.Add([]byte("ccacacagaagcc"), uint8(7))
+	f.Add([]byte("acgtacgtacacagttgaccaacgtacgtacacagttgacca"), uint8(100))
+	f.Fuzz(func(t *testing.T, target []byte, rate uint8) {
 		if len(target) == 0 || len(target) > 1000 {
 			return
 		}
 		clean, _ := Sanitize(target)
-		idx, err := New(clean)
+		var opts []Option
+		if rate != 0 {
+			opts = append(opts, WithOccRate(1+int(rate-1)%128))
+		}
+		idx, err := New(clean, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,12 +92,19 @@ func FuzzSaveLoad(f *testing.F) {
 		if err := idx.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
+		saved := append([]byte(nil), buf.Bytes()...)
 		loaded, err := Load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := loaded.searcher.Index().CheckInvariants(); err != nil {
 			t.Fatalf("invariants after reload: %v", err)
+		}
+		if err := loaded.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), saved) {
+			t.Fatal("re-saving the loaded index changes the bytes")
 		}
 		probe := clean
 		if len(probe) > 10 {
@@ -108,7 +124,9 @@ func FuzzSaveLoad(f *testing.F) {
 // usable — the load-time verifyLoad gate plus, under -tags
 // kminvariants, the deep invariant checks guarantee no half-built
 // structure escapes. Seeds include valid saves (with and without
-// reference tables) so mutation explores near-valid headers.
+// reference tables, and the legacy fixtures in the encodings earlier
+// writers emitted) so mutation explores near-valid headers and the
+// loader's conversion of those encodings.
 func FuzzLoadRoundTrip(f *testing.F) {
 	save := func(idx *Index) []byte {
 		var buf bytes.Buffer
@@ -131,6 +149,13 @@ func FuzzLoadRoundTrip(f *testing.F) {
 	valid := save(plain)
 	f.Add(valid)
 	f.Add(save(withRefs))
+	for _, name := range legacyFixtures {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:8])
 	f.Add([]byte{})

@@ -95,7 +95,7 @@ func TestFig13Small(t *testing.T) {
 	if err := Fig13(&buf, Config{Scale: 1024, Reads: 2, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"layout", "rate4", "twolevel"} {
+	for _, want := range []string{"layout", "rate4", "rate32"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("fig13 output missing %q:\n%s", want, buf.String())
 		}

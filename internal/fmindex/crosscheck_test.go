@@ -9,15 +9,17 @@ import (
 )
 
 // TestOccAgainstWaveletTree cross-validates the DNA-specialized rankall
-// tables (all three layouts) against the general-purpose wavelet tree —
-// two independent rank implementations must agree on every position.
+// tables (at several checkpoint spacings, one not a power of two)
+// against the general-purpose wavelet tree — two independent rank
+// implementations must agree on every position.
 func TestOccAgainstWaveletTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(261))
 	text := randomRanks(rng, 1500)
 	variants := []Options{
 		{OccRate: 4, SARate: 8},
-		{OccRate: 64, SARate: 8, PackedBWT: true},
-		{SARate: 8, TwoLevelOcc: true},
+		{OccRate: 32, SARate: 8},
+		{OccRate: 64, SARate: 8},
+		{OccRate: 48, SARate: 8},
 	}
 	for _, opts := range variants {
 		idx, err := Build(text, opts)

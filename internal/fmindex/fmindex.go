@@ -5,10 +5,10 @@
 //
 // The text handed to Build must already be rank-encoded over
 // internal/alphabet ($=0 < a < c < g < t); Build appends the sentinel
-// itself. Following the paper's storage scheme, the BWT is stored 3 bits
-// per character (2-bit base codes plus the sentinel handled out of band)
-// and one rankall value per character is checkpointed every OccRate
-// elements of L.
+// itself. Following the paper's storage scheme (§V), the BWT is stored
+// at 2 bits per character with the sentinel's position held out of
+// band, and one rankall value per character is checkpointed every
+// OccRate elements of L (§III-A).
 package fmindex
 
 import (
@@ -28,26 +28,15 @@ import (
 type Options struct {
 	// OccRate is the rankall checkpoint spacing: one cumulative count per
 	// character is stored every OccRate positions of L; ranks in between
-	// are completed by scanning at most OccRate-1 characters. The paper
+	// are completed by popcounts over the 2-bit BWT words. The paper
 	// stores "4 rankall values for every 4 elements" in its experiments
 	// (rate 4) and discusses sparser sampling as a space saving (§III-A).
+	// The default, 32, is one 64-bit word of BWT per checkpoint row, so
+	// a rank query reads one row and popcounts exactly one word.
 	OccRate int
 	// SARate is the suffix-array sampling rate used by Locate: every
 	// SARate-th text position is kept. Smaller is faster, larger smaller.
 	SARate int
-	// PackedBWT stores the BWT at 2 bits per character and counts
-	// occurrences with word-parallel popcounts instead of byte scans.
-	// It cuts the BWT payload 4x and is the faster layout at sparse
-	// OccRate settings (>= 32), where the scan between checkpoints is
-	// long.
-	PackedBWT bool
-	// TwoLevelOcc replaces the flat rankall table (the paper's layout,
-	// 32 bits per character per OccRate positions) with a hierarchical
-	// directory: absolute 32-bit counts every 256 positions plus
-	// relative 8-bit counts every 16 — ~2.5 bits/base instead of 32 at
-	// OccRate 4, with scans of at most 15 characters. OccRate is ignored
-	// when set.
-	TwoLevelOcc bool
 	// Workers is the goroutine count for every parallelizable phase of
 	// Build: the suffix array itself (pDC3, suffixarray.BuildParallel,
 	// bit-identical to the serial SA-IS build) and everything after it
@@ -75,12 +64,16 @@ type BuildPhases struct {
 	PackNS int64
 }
 
-// DefaultOptions mirror the paper's experimental configuration.
-func DefaultOptions() Options { return Options{OccRate: 4, SARate: 16} }
+// DefaultOccRate is the rankall checkpoint spacing when none is given.
+const DefaultOccRate = 32
+
+// DefaultOptions returns the default configuration: checkpoints every
+// DefaultOccRate positions and a suffix-array sample every 16.
+func DefaultOptions() Options { return Options{OccRate: DefaultOccRate, SARate: 16} }
 
 func (o *Options) normalize() error {
 	if o.OccRate == 0 {
-		o.OccRate = 4
+		o.OccRate = DefaultOccRate
 	}
 	if o.SARate == 0 {
 		o.SARate = 16
@@ -116,22 +109,20 @@ type Index struct {
 	opts Options
 	n    int // text length, excluding sentinel
 
-	bwt    []byte // BWT of text+$, rank-encoded; nil when packed is used
-	packed *packedBWT
+	bwt packedBWT // BWT of text+$ at 2 bits per character
 
 	c [alphabet.Size + 1]int32 // c[x] = #chars with rank < x in text+$
 
-	occ      []int32      // flat occ checkpoints: occ[(p/OccRate)*Bases + (x-1)]
-	occ2     *twoLevelOcc // hierarchical alternative; occ is nil when set
-	occShift int32        // log2(OccRate) when it is a power of two, else -1
-	sentPos  int32        // position of the sentinel within bwt
+	occ      []int32 // rankall checkpoints: occ[(p/OccRate)*Bases + (x-1)]
+	occShift int32   // log2(OccRate) when it is a power of two, else -1
+	sentPos  int32   // position of the sentinel within bwt
 
 	saMarked  *bitvec.Rank // rows whose SA value is sampled
 	saSamples []int32      // SA values of marked rows, in row order
 
 	// Relative layout (relative.go): the BWT and occ queries are bridged
-	// to relBase through rel instead of local bwt/packed/occ payloads,
-	// which are all nil. SA samples and the C array stay tenant-local.
+	// to relBase through rel instead of local bwt/occ payloads, which
+	// are empty. SA samples and the C array stay tenant-local.
 	rel     *relative.Delta
 	relBase *Index
 }
@@ -168,9 +159,10 @@ func Build(text []byte, opts Options) (*Index, error) {
 	}
 	phaseStart = markPhase(&ph.SANS, phaseStart)
 
-	// BWT: L[i] = text[sa[i]-1], or $ when sa[i] == 0 (paper eq. (3)).
-	idx.bwt = make([]byte, n+1)
-	idx.sentPos = extractBWT(idx.bwt, sa, text, workers)
+	// BWT: L[i] = text[sa[i]-1], or $ when sa[i] == 0 (paper eq. (3)),
+	// extracted one byte per character and then packed.
+	bwt := make([]byte, n+1)
+	idx.sentPos = extractBWT(bwt, sa, text, workers)
 
 	// C array over text+$.
 	counts := countRanks(text, workers)
@@ -182,30 +174,16 @@ func Build(text []byte, opts Options) (*Index, error) {
 	idx.c[alphabet.Size] = sum
 	phaseStart = markPhase(&ph.BWTNS, phaseStart)
 
-	if opts.PackedBWT {
-		idx.packed = newPackedBWT(idx.bwt, workers)
-	}
+	idx.bwt = newPackedBWT(bwt, workers)
 	phaseStart = markPhase(&ph.PackNS, phaseStart)
 
-	// Rankall checkpoints: the paper's flat layout, or the hierarchical
-	// two-level directory.
-	if opts.TwoLevelOcc {
-		if err := validateGeometry(); err != nil {
-			return nil, err
-		}
-		idx.occ2 = buildTwoLevel(idx.bwt, workers)
-	} else {
-		idx.occ = buildFlatOcc(idx.bwt, opts.OccRate, workers)
-	}
+	idx.occ = buildFlatOcc(bwt, opts.OccRate, workers)
 	phaseStart = markPhase(&ph.OccNS, phaseStart)
 
 	// SA samples for Locate: mark rows whose SA value is a multiple of
 	// SARate (plus position n so every LF walk terminates).
 	idx.saMarked, idx.saSamples = buildSASamples(sa, n, opts.SARate, workers)
 	markPhase(&ph.PackNS, phaseStart)
-	if idx.packed != nil {
-		idx.bwt = nil // the packed layout is authoritative
-	}
 	if opts.Phases != nil {
 		opts.Phases.SANS += ph.SANS
 		opts.Phases.BWTNS += ph.BWTNS
@@ -238,15 +216,24 @@ func (idx *Index) deriveOccShift() {
 	}
 }
 
-// bwtAt reads L[i] regardless of the storage layout.
+// checkpoint returns the rankall row covering bwt[0:p] and the position
+// that row counts up to; the rank of p is the row plus the occurrences
+// in bwt[from:p].
+func (idx *Index) checkpoint(p int32) (row, from int32) {
+	if s := idx.occShift; s >= 0 {
+		row = p >> s
+		return row, row << s
+	}
+	row = p / int32(idx.opts.OccRate)
+	return row, row * int32(idx.opts.OccRate)
+}
+
+// bwtAt reads L[i].
 func (idx *Index) bwtAt(i int32) byte {
 	if idx.rel != nil {
 		return idx.relBWTAt(i)
 	}
-	if idx.packed != nil {
-		return idx.packed.get(i)
-	}
-	return idx.bwt[i]
+	return idx.bwt.get(i)
 }
 
 // N returns the length of the indexed text (excluding the sentinel).
@@ -265,31 +252,8 @@ func (idx *Index) occAt(x byte, p int32) int32 {
 	if idx.rel != nil {
 		return idx.relOccAt(x, p)
 	}
-	var cnt, from int32
-	if idx.occ2 != nil {
-		cnt, from = idx.occ2.base(x, p)
-	} else {
-		var chk int32
-		if s := idx.occShift; s >= 0 {
-			chk = p >> s
-			from = chk << s
-		} else {
-			chk = p / int32(idx.opts.OccRate)
-			from = chk * int32(idx.opts.OccRate)
-		}
-		cnt = idx.occ[chk*alphabet.Bases+int32(x-1)]
-	}
-	if idx.packed != nil {
-		return cnt + idx.packed.count(x, from, p)
-	}
-	// Ranging over the subslice hoists the bounds checks out of the
-	// scan, which runs up to OccRate-1 iterations on every rank query.
-	for _, ch := range idx.bwt[from:p] {
-		if ch == x {
-			cnt++
-		}
-	}
-	return cnt
+	row, from := idx.checkpoint(p)
+	return idx.occ[row*alphabet.Bases+int32(x-1)] + idx.bwt.count(x, from, p)
 }
 
 // Step performs one backward-search step: given the interval of rows whose
@@ -336,32 +300,12 @@ func (idx *Index) occAll(p int32, cnt *[alphabet.Bases]int32) {
 		idx.relOccAll(p, cnt)
 		return
 	}
-	var from int32
-	if idx.occ2 != nil {
-		from = idx.occ2.baseAll(p, cnt)
-	} else {
-		var chk int32
-		if s := idx.occShift; s >= 0 {
-			chk = p >> s
-			from = chk << s
-		} else {
-			chk = p / int32(idx.opts.OccRate)
-			from = chk * int32(idx.opts.OccRate)
-		}
-		// Four explicit loads: a 16-byte copy() here compiles to a
-		// memmove call, which profiles at ~10% of the whole search.
-		row := idx.occ[chk*alphabet.Bases : chk*alphabet.Bases+alphabet.Bases]
-		cnt[0], cnt[1], cnt[2], cnt[3] = row[0], row[1], row[2], row[3]
-	}
-	if idx.packed != nil {
-		idx.packed.countAll(from, p, cnt)
-		return
-	}
-	for _, ch := range idx.bwt[from:p] {
-		if ch != alphabet.Sentinel {
-			cnt[ch-1]++
-		}
-	}
+	row, from := idx.checkpoint(p)
+	// Four explicit loads: a 16-byte copy() here compiles to a
+	// memmove call, which profiles at ~10% of the whole search.
+	r := idx.occ[row*alphabet.Bases : row*alphabet.Bases+alphabet.Bases]
+	cnt[0], cnt[1], cnt[2], cnt[3] = r[0], r[1], r[2], r[3]
+	idx.bwt.countAll(from, p, cnt)
 }
 
 // Search runs a full backward search for the rank-encoded pattern (matching
@@ -394,34 +338,19 @@ func (idx *Index) Count(pattern []byte) int { return idx.Search(pattern).Len() }
 // interval empties — the length of the longest prefix of p that occurs
 // in the text — plus the number of rank steps consumed (equal to what
 // the equivalent Step loop would report). It is the φ-bound /
-// matching-statistics primitive and the hottest loop of the pruned
-// searches, so the flat byte occ layout gets a fused implementation:
-// the interval stays in registers across iterations, the first step
-// from Full is answered from the C array alone (occ of a full prefix
-// is a bucket width), and one-row intervals are resolved by a direct
-// BWT comparison, which turns the common "unique substring, next
-// character mismatches" exit into a single byte load. Other rank
-// backends (two-level, packed) use the generic loop.
+// matching-statistics primitive, so it takes two shortcuts the Step
+// loop cannot: the first step from Full is answered from the C array
+// alone (occ of a full prefix is a bucket width), and a one-row
+// interval is resolved by comparing its BWT character, which turns the
+// common "unique substring, next character mismatches" exit into a
+// single character read.
 func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 	if len(p) == 0 {
 		return 0, 0
 	}
-	if idx.rel != nil || idx.occ2 != nil || idx.packed != nil || idx.occShift < 0 {
-		iv := idx.Full()
-		for q := 0; q < len(p); q++ {
-			iv = idx.Step(p[q], iv)
-			steps++
-			if iv.Empty() {
-				return q, steps
-			}
-		}
-		return len(p), steps
-	}
-	shift := idx.occShift
-	bwt, occ := idx.bwt, idx.occ
 	x := p[0]
 	lo, hi := idx.c[x], idx.c[x+1]
-	steps++
+	steps = 1
 	if lo >= hi {
 		return 0, steps
 	}
@@ -429,36 +358,14 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 		x = p[q]
 		steps++
 		if hi == lo+1 {
-			if bwt[lo] != x {
+			if idx.bwtAt(lo) != x {
 				return q, steps
 			}
-			chk := lo >> shift
-			cnt := occ[chk*alphabet.Bases+int32(x-1)]
-			for _, ch := range bwt[chk<<shift : lo] {
-				if ch == x {
-					cnt++
-				}
-			}
-			lo = idx.c[x] + cnt
+			lo = idx.c[x] + idx.occAt(x, lo)
 			hi = lo + 1
 			continue
 		}
-		xi := int32(x - 1)
-		chk := lo >> shift
-		cl := occ[chk*alphabet.Bases+xi]
-		for _, ch := range bwt[chk<<shift : lo] {
-			if ch == x {
-				cl++
-			}
-		}
-		chk = hi >> shift
-		chi := occ[chk*alphabet.Bases+xi]
-		for _, ch := range bwt[chk<<shift : hi] {
-			if ch == x {
-				chi++
-			}
-		}
-		lo, hi = idx.c[x]+cl, idx.c[x]+chi
+		lo, hi = idx.c[x]+idx.occAt(x, lo), idx.c[x]+idx.occAt(x, hi)
 		if lo >= hi {
 			return q, steps
 		}
@@ -506,39 +413,22 @@ func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) []int32 
 	return dst
 }
 
-// BWT returns the BWT array (rank-encoded, including the sentinel). For
-// the packed layout a fresh copy is materialized; otherwise the caller
-// must not modify the returned slice.
+// BWT returns a fresh copy of the BWT array (rank-encoded, including
+// the sentinel).
 func (idx *Index) BWT() []byte {
 	if idx.rel != nil {
 		return idx.relBWT()
 	}
-	if idx.packed == nil {
-		return idx.bwt
-	}
-	out := make([]byte, idx.n+1)
-	for i := range out {
-		out[i] = idx.packed.get(int32(i))
-	}
-	return out
+	return idx.bwt.unpack()
 }
 
-// SizeBytes estimates the index payload: the BWT (3 bits/char in the
-// paper's accounting for the byte layout, the true 2-bit payload for the
-// packed layout) plus occ checkpoints plus SA samples.
+// SizeBytes returns the index payload: the 2-bit BWT plus the occ
+// checkpoints plus the SA samples and their row marks.
 func (idx *Index) SizeBytes() int {
 	if idx.rel != nil {
 		// Tenant-resident bytes only: the delta plus the tenant's own
 		// Locate samples. The shared base is accounted once, elsewhere.
 		return idx.rel.SizeBytes() + len(idx.saSamples)*4 + idx.saMarked.Len()/8
 	}
-	bwtBytes := (idx.n+1)*3/8 + 1
-	if idx.packed != nil {
-		bwtBytes = idx.packed.sizeBytes()
-	}
-	occBytes := len(idx.occ) * 4
-	if idx.occ2 != nil {
-		occBytes = idx.occ2.sizeBytes()
-	}
-	return bwtBytes + occBytes + len(idx.saSamples)*4 + idx.saMarked.Len()/8
+	return idx.bwt.sizeBytes() + len(idx.occ)*4 + len(idx.saSamples)*4 + idx.saMarked.Len()/8
 }

@@ -232,7 +232,7 @@ func TestRankCorrespondence(t *testing.T) {
 	row := int32(0) // row of the sentinel-prefixed rotation
 	rebuilt := make([]byte, 0, idx.N())
 	for i := 0; i < idx.N(); i++ {
-		rebuilt = append(rebuilt, idx.bwt[row])
+		rebuilt = append(rebuilt, idx.bwtAt(row))
 		row = idx.lfStep(row)
 	}
 	alphabet.Reverse(rebuilt)

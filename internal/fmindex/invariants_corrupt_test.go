@@ -46,14 +46,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Error("corrupt C array not detected")
 		}
 	})
-	t.Run("bwt byte", func(t *testing.T) {
+	t.Run("bwt codes", func(t *testing.T) {
 		idx := build(flat)
-		// Swap two distinct BWT characters away from the sentinel.
-		for i := range idx.bwt {
-			j := (i + 1) % len(idx.bwt)
-			if idx.bwt[i] != idx.bwt[j] &&
-				idx.bwt[i] != alphabet.Sentinel && idx.bwt[j] != alphabet.Sentinel {
-				idx.bwt[i], idx.bwt[j] = idx.bwt[j], idx.bwt[i]
+		// Swap two adjacent distinct BWT characters away from the sentinel.
+		bwt := idx.BWT()
+		for i := 0; i+1 < len(bwt); i++ {
+			if bwt[i] != bwt[i+1] && bwt[i] != alphabet.Sentinel && bwt[i+1] != alphabet.Sentinel {
+				bwt[i], bwt[i+1] = bwt[i+1], bwt[i]
+				idx.bwt = newPackedBWT(bwt, 1)
 				break
 			}
 		}
@@ -69,17 +69,18 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("packed word", func(t *testing.T) {
-		idx := build(Options{OccRate: 32, SARate: 16, PackedBWT: true})
-		idx.packed.words[2] ^= 3
+		idx := build(Options{OccRate: 32, SARate: 16})
+		idx.bwt.words[2] ^= 3
 		if err := idx.CheckInvariants(); err == nil {
 			t.Error("corrupt packed BWT word not detected")
 		}
 	})
-	t.Run("twolevel block", func(t *testing.T) {
-		idx := build(Options{SARate: 16, TwoLevelOcc: true})
-		idx.occ2.block[7]++
+	t.Run("sentinel slot", func(t *testing.T) {
+		idx := build(flat)
+		s := idx.bwt.sentPos
+		idx.bwt.words[s/codesPerWord] |= 1 << uint((s%codesPerWord)*2)
 		if err := idx.CheckInvariants(); err == nil {
-			t.Error("corrupt two-level block count not detected")
+			t.Error("nonzero code in the sentinel slot not detected")
 		}
 	})
 	t.Run("wrong text", func(t *testing.T) {

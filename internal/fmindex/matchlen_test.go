@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// matchLenGeneric is the reference Step loop MatchLen fuses.
+// matchLenGeneric is the reference Step loop MatchLen shortcuts.
 func matchLenGeneric(idx *Index, p []byte) (int, int) {
 	iv := idx.Full()
 	steps := 0
@@ -19,19 +19,20 @@ func matchLenGeneric(idx *Index, p []byte) (int, int) {
 	return len(p), steps
 }
 
-// TestMatchLenMatchesStepLoop checks the fused flat-layout MatchLen
-// (and the fallback on the other layouts) against the generic Step
-// loop: same matched length AND same step count, on random and
-// periodic texts, with query prefixes sampled from the text (long
-// matches, exercising the singleton tail) and random (short matches).
+// TestMatchLenMatchesStepLoop checks MatchLen and its two shortcuts
+// (the first step from the C array, one-row intervals by a BWT compare)
+// against the generic Step loop at several checkpoint spacings: same
+// matched length AND same step count, on random and periodic texts,
+// with query prefixes sampled from the text (long matches, exercising
+// the singleton tail) and random (short matches).
 func TestMatchLenMatchesStepLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	layouts := []Options{
 		{OccRate: 1, SARate: 16},
 		{OccRate: 4, SARate: 16},
+		{OccRate: 32, SARate: 16},
 		{OccRate: 64, SARate: 8},
-		{OccRate: 64, SARate: 16, PackedBWT: true},
-		{SARate: 16, TwoLevelOcc: true},
+		{OccRate: 48, SARate: 16},
 	}
 	for _, n := range []int{1, 3, 64, 500, 5000} {
 		texts := [][]byte{randomRanksP(rng, n), periodicRanksP(n)}
@@ -67,7 +68,7 @@ func TestMatchLenMatchesStepLoop(t *testing.T) {
 }
 
 // periodicRanksP builds a period-3 text, which keeps intervals wide for
-// long extensions (the non-singleton fused path).
+// long extensions (the non-singleton path).
 func periodicRanksP(n int) []byte {
 	out := make([]byte, n)
 	for i := range out {

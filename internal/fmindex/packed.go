@@ -10,9 +10,7 @@ import (
 // packedBWT stores the BWT at 2 bits per character with the sentinel held
 // out of band, and answers "how many occurrences of base x in L[from:to)"
 // with word-parallel popcounts — the storage §V of the paper describes
-// ("we use 2 bits to represent a character in {a,c,g,t}"), profitable at
-// sparse rankall rates where the plain byte layout would scan long
-// blocks.
+// ("we use 2 bits to represent a character in {a,c,g,t}").
 type packedBWT struct {
 	words   []uint64 // 32 two-bit codes per word
 	n       int32    // total characters including the sentinel slot
@@ -24,8 +22,8 @@ const codesPerWord = 32
 // newPackedBWT packs a rank-encoded BWT (values 0..4, exactly one
 // sentinel) across workers goroutines; ranges are word-aligned so each
 // output word has a single writer.
-func newPackedBWT(bwt []byte, workers int) *packedBWT {
-	p := &packedBWT{
+func newPackedBWT(bwt []byte, workers int) packedBWT {
+	p := packedBWT{
 		words: make([]uint64, (len(bwt)+codesPerWord-1)/codesPerWord),
 		n:     int32(len(bwt)),
 	}
@@ -47,13 +45,33 @@ func newPackedBWT(bwt []byte, workers int) *packedBWT {
 	return p
 }
 
+// code returns the 2-bit code stored at position i, without the
+// sentinel substitution get makes.
+func (p *packedBWT) code(i int32) byte {
+	return byte(p.words[i/codesPerWord]>>uint((i%codesPerWord)*2)) & 3
+}
+
 // get returns the rank (0 for the sentinel, 1..4 for bases) at position i.
 func (p *packedBWT) get(i int32) byte {
 	if i == p.sentPos {
 		return alphabet.Sentinel
 	}
-	code := byte(p.words[i/codesPerWord]>>uint((i%codesPerWord)*2)) & 3
-	return code + 1
+	return p.code(i) + 1
+}
+
+// decode writes the ranks at positions [from, from+len(dst)) into
+// dst, the sentinel included.
+func (p *packedBWT) decode(dst []byte, from int32) {
+	for i := range dst {
+		dst[i] = p.get(from + int32(i))
+	}
+}
+
+// unpack returns the BWT one rank per byte, sentinel included.
+func (p *packedBWT) unpack() []byte {
+	out := make([]byte, p.n)
+	p.decode(out, 0)
+	return out
 }
 
 // count returns the number of occurrences of base rank x (1..4) in

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,71 +41,81 @@ func TestPackedCountAgainstScan(t *testing.T) {
 				t.Fatalf("get(%d) = %d, want %d", i, p.get(int32(i)), bwt[i])
 			}
 		}
+		if !bytes.Equal(p.unpack(), bwt) {
+			t.Fatalf("unpack() = %v, want %v", p.unpack(), bwt)
+		}
 	}
 }
 
+// TestPackedIndexEquivalence checks that the checkpoint spacing changes
+// only the index size: at every rate, including ones that are not a
+// power of two and take the division branch of the checkpoint lookup,
+// the BWT, Search, Locate and StepAll agree with a rate-1 index.
 func TestPackedIndexEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	for trial := 0; trial < 20; trial++ {
 		text := randomRanks(rng, 100+rng.Intn(500))
-		rate := []int{4, 32, 64}[rng.Intn(3)]
-		plain, err := Build(text, Options{OccRate: rate, SARate: 8})
+		rate := []int{4, 32, 64, 5, 48}[rng.Intn(5)]
+		dense, err := Build(text, Options{OccRate: 1, SARate: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := Build(text, Options{OccRate: rate, SARate: 8, PackedBWT: true})
+		idx, err := Build(text, Options{OccRate: rate, SARate: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(plain.BWT(), packed.BWT()) {
+		if !bytes.Equal(dense.BWT(), idx.BWT()) {
 			t.Fatal("BWT materialization differs")
 		}
 		for q := 0; q < 40; q++ {
 			pat := randomRanks(rng, 1+rng.Intn(12))
-			ivP, ivQ := plain.Search(pat), packed.Search(pat)
-			if ivP != ivQ {
-				t.Fatalf("Search(%v): %v vs %v", pat, ivP, ivQ)
+			ivD, ivR := dense.Search(pat), idx.Search(pat)
+			if ivD != ivR {
+				t.Fatalf("rate %d: Search(%v): %v vs %v", rate, pat, ivD, ivR)
 			}
-			a := plain.Locate(ivP, nil)
-			b := packed.Locate(ivQ, nil)
+			a := dense.Locate(ivD, nil)
+			b := idx.Locate(ivR, nil)
 			if len(a) != len(b) {
-				t.Fatalf("Locate counts differ: %d vs %d", len(a), len(b))
+				t.Fatalf("rate %d: Locate counts differ: %d vs %d", rate, len(a), len(b))
 			}
 			for i := range a {
 				if a[i] != b[i] {
-					t.Fatalf("Locate differs: %v vs %v", a, b)
+					t.Fatalf("rate %d: Locate differs: %v vs %v", rate, a, b)
 				}
 			}
 		}
 		var ka, kb [alphabet.Bases]Interval
 		for q := 0; q < 50; q++ {
-			lo := int32(rng.Intn(plain.N() + 1))
-			hi := lo + int32(rng.Intn(plain.N()+2-int(lo)))
-			plain.StepAll(Interval{lo, hi}, &ka)
-			packed.StepAll(Interval{lo, hi}, &kb)
+			lo := int32(rng.Intn(dense.N() + 1))
+			hi := lo + int32(rng.Intn(dense.N()+2-int(lo)))
+			dense.StepAll(Interval{lo, hi}, &ka)
+			idx.StepAll(Interval{lo, hi}, &kb)
 			if ka != kb {
-				t.Fatalf("StepAll([%d,%d)) differs", lo, hi)
+				t.Fatalf("rate %d: StepAll([%d,%d)) differs", rate, lo, hi)
 			}
 		}
-		if packed.SizeBytes() >= plain.SizeBytes()+int(plain.N()) {
-			t.Errorf("packed index unexpectedly large: %d vs %d",
-				packed.SizeBytes(), plain.SizeBytes())
+		if idx.SizeBytes() >= dense.SizeBytes() {
+			t.Errorf("rate %d index not smaller than rate 1: %d vs %d",
+				rate, idx.SizeBytes(), dense.SizeBytes())
 		}
 	}
 }
 
+// TestPackedStepSingleton checks StepSingleton on every row at the
+// default spacing against the paper's rate 4 and a rate that is not a
+// power of two.
 func TestPackedStepSingleton(t *testing.T) {
 	rng := rand.New(rand.NewSource(133))
 	text := randomRanks(rng, 800)
-	plain, _ := Build(text, DefaultOptions())
-	opts := DefaultOptions()
-	opts.PackedBWT = true
-	packed, _ := Build(text, opts)
-	for row := int32(0); row <= int32(plain.N()); row++ {
-		x1, c1, ok1 := plain.StepSingleton(Interval{row, row + 1})
-		x2, c2, ok2 := packed.StepSingleton(Interval{row, row + 1})
-		if x1 != x2 || c1 != c2 || ok1 != ok2 {
-			t.Fatalf("row %d: (%d,%v,%v) vs (%d,%v,%v)", row, x1, c1, ok1, x2, c2, ok2)
+	def, _ := Build(text, DefaultOptions())
+	for _, rate := range []int{4, 5} {
+		idx, _ := Build(text, Options{OccRate: rate, SARate: 16})
+		for row := int32(0); row <= int32(def.N()); row++ {
+			x1, c1, ok1 := def.StepSingleton(Interval{row, row + 1})
+			x2, c2, ok2 := idx.StepSingleton(Interval{row, row + 1})
+			if x1 != x2 || c1 != c2 || ok1 != ok2 {
+				t.Fatalf("rate %d row %d: (%d,%v,%v) vs (%d,%v,%v)", rate, row, x1, c1, ok1, x2, c2, ok2)
+			}
 		}
 	}
 }
@@ -114,37 +125,36 @@ func TestPackedQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		text := randomRanks(rng, 1+int(n8))
 		pat := randomRanks(rng, 1+int(m8)%10)
-		plain, err1 := Build(text, Options{OccRate: 64, SARate: 4})
-		packed, err2 := Build(text, Options{OccRate: 64, SARate: 4, PackedBWT: true})
-		if err1 != nil || err2 != nil {
+		idx, err := Build(text, Options{OccRate: 64, SARate: 4})
+		if err != nil {
 			return false
 		}
-		return plain.Count(pat) == packed.Count(pat)
+		return idx.Count(pat) == naiveCount(text, pat)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }
 
-func benchOccBackend(b *testing.B, packed bool, rate int) {
+// BenchmarkOcc times exact backward search of 60-base patterns over a
+// 1 MiB text at the paper's rate 4, the default 32 and rate 64.
+func BenchmarkOcc(b *testing.B) {
 	rng := rand.New(rand.NewSource(134))
 	text := randomRanks(rng, 1<<20)
-	idx, err := Build(text, Options{OccRate: rate, SARate: 16, PackedBWT: packed})
-	if err != nil {
-		b.Fatal(err)
-	}
 	pats := make([][]byte, 64)
 	for i := range pats {
 		p := rng.Intn(len(text) - 60)
 		pats[i] = text[p : p+60]
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.Count(pats[i%len(pats)])
+	for _, rate := range []int{4, 32, 64} {
+		idx, err := Build(text, Options{OccRate: rate, SARate: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rate=%d", rate), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				idx.Count(pats[i%len(pats)])
+			}
+		})
 	}
 }
-
-func BenchmarkOccByteRate64(b *testing.B)   { benchOccBackend(b, false, 64) }
-func BenchmarkOccPackedRate64(b *testing.B) { benchOccBackend(b, true, 64) }
-func BenchmarkOccByteRate4(b *testing.B)    { benchOccBackend(b, false, 4) }
-func BenchmarkOccPackedRate4(b *testing.B)  { benchOccBackend(b, true, 4) }

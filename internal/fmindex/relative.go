@@ -82,11 +82,25 @@ func (idx *Index) RelBase() *Index { return idx.relBase }
 // RelDelta returns the delta payload (nil for standalone layouts).
 func (idx *Index) RelDelta() *relative.Delta { return idx.rel }
 
-// Fingerprint returns a content hash of the index's BWT. A relative
-// container binds to its base through this hash, so a renamed or
-// rebuilt base that no longer matches is rejected at load.
+// Fingerprint returns the sha256 of the index's BWT characters, one
+// rank per byte, whatever their storage. A relative container binds to
+// its base through this hash, so a renamed or rebuilt base that no
+// longer matches is rejected at load. A standalone BWT is hashed in
+// chunks decoded from its packed words rather than materialized.
 func (idx *Index) Fingerprint() [sha256.Size]byte {
-	return sha256.Sum256(idx.BWT())
+	if idx.rel != nil {
+		return sha256.Sum256(idx.relBWT())
+	}
+	h := sha256.New()
+	var chunk [4096]byte
+	for from := int32(0); from < idx.bwt.n; from += int32(len(chunk)) {
+		buf := chunk[:min(len(chunk), int(idx.bwt.n-from))]
+		idx.bwt.decode(buf, from)
+		h.Write(buf)
+	}
+	var fp [sha256.Size]byte
+	h.Sum(fp[:0])
+	return fp
 }
 
 // ReconstructText rebuilds the rank-encoded text the index was built
@@ -135,9 +149,10 @@ func MakeRelative(base, tenant *Index) (*Index, error) {
 	if base.rel != nil {
 		return nil, fmt.Errorf("fmindex: base index is itself relative")
 	}
-	delta := buildDelta(base, tenant)
+	baseBWT, tenBWT := base.BWT(), tenant.BWT()
+	delta := buildDelta(base, tenant, baseBWT, tenBWT)
 	rx := &Index{
-		opts:      tenant.opts,
+		opts:      Options{SARate: tenant.opts.SARate},
 		n:         tenant.n,
 		c:         tenant.c,
 		sentPos:   tenant.sentPos,
@@ -146,14 +161,12 @@ func MakeRelative(base, tenant *Index) (*Index, error) {
 		rel:       delta,
 		relBase:   base,
 	}
-	rx.deriveOccShift()
-	want := tenant.BWT()
 	got := rx.relBWT()
-	if len(got) != len(want) {
-		return nil, fmt.Errorf("fmindex: bridged BWT has %d rows, tenant %d", len(got), len(want))
+	if len(got) != len(tenBWT) {
+		return nil, fmt.Errorf("fmindex: bridged BWT has %d rows, tenant %d", len(got), len(tenBWT))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i] != tenBWT[i] {
 			return nil, fmt.Errorf("fmindex: bridged BWT differs from tenant at row %d", i)
 		}
 	}
@@ -169,10 +182,9 @@ func MakeRelative(base, tenant *Index) (*Index, error) {
 // t-character context (one backward-search DFS stepping both indexes
 // together), pairs the blocks positionally, and diffs block against
 // block — gap rows between blocks (suffixes shorter than t) are
-// diffed by the same cursor sweep.
-func buildDelta(base, tenant *Index) *relative.Delta {
-	baseBWT := base.BWT()
-	tenBWT := tenant.BWT()
+// diffed by the same cursor sweep. baseBWT and tenBWT are the two
+// indexes' materialized BWTs.
+func buildDelta(base, tenant *Index, baseBWT, tenBWT []byte) *relative.Delta {
 	bld := relative.NewBuilder(baseBWT, tenBWT)
 
 	type blockPair struct {
@@ -309,12 +321,11 @@ func ReadRelativeIndex(r io.Reader, base *Index) (*Index, error) {
 	if n > maxLen || saRate > maxRate {
 		return nil, fmt.Errorf("%w: n %d sa rate %d", ErrFormat, n, saRate)
 	}
-	idx.n = int(n)
-	idx.opts = Options{OccRate: base.opts.OccRate, SARate: int(saRate)}
-	if err := idx.opts.normalize(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	if saRate < 1 {
+		return nil, fmt.Errorf("%w: sa rate %d", ErrFormat, saRate)
 	}
-	idx.deriveOccShift()
+	idx.n = int(n)
+	idx.opts = Options{SARate: int(saRate)}
 	if err := get(idx.c[:]); err != nil {
 		return nil, fmt.Errorf("%w: c array: %v", ErrFormat, err)
 	}

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 
@@ -215,12 +216,21 @@ func TestRelativeFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(text, Options{OccRate: 64, SARate: 32, PackedBWT: true})
+	b, err := Build(text, Options{OccRate: 64, SARate: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("fingerprint depends on layout, not content")
+	}
+	// The hash is over the BWT characters one rank per byte, as written
+	// into relative containers, across several hashing chunks.
+	long, err := Build(randomRanks(rng, 10000), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.Fingerprint() != sha256.Sum256(long.BWT()) {
+		t.Fatal("fingerprint is not the sha256 of the BWT characters")
 	}
 	c, err := Build(randomRanks(rng, 400), Options{})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/binio"
@@ -17,13 +16,20 @@ import (
 // header, so a genome is indexed once and reloaded in milliseconds
 // (§III-B: "once it is created, it can be repeatedly used").
 //
-// Layout: magic, version, options, n, sentPos, BWT payload (byte or
-// packed), C array, occ checkpoints, SA-mark bitvector, SA samples.
+// Layout: magic, options, payload code, n, sentPos, BWT payload, C
+// array, checkpoint section code and table, SA-mark bitvector, SA
+// samples. The writer emits the packed payload and the flat checkpoint
+// section. The reader also accepts two encodings earlier writers
+// emitted: a byte-per-character payload, which it validates and packs,
+// and a two-level checkpoint section, which it skips, rebuilding flat
+// checkpoints at DefaultOccRate.
 
 const (
 	indexMagic   = uint32(0xB3711D01) // "BWT index" v1
-	layoutByte   = uint8(0)
+	layoutByte   = uint8(0)           // read only
 	layoutPacked = uint8(1)
+	occFlat      = uint8(0)
+	occTwoLevel  = uint8(1) // read only
 )
 
 // Sanity caps against corrupt headers: no length field may exceed
@@ -43,62 +49,22 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	}
 	cw := &countWriter{w: bufio.NewWriter(w)}
 	put := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-	layout := layoutByte
-	if idx.packed != nil {
-		layout = layoutPacked
-	}
-	header := []any{
-		indexMagic,
-		uint32(idx.opts.OccRate),
-		uint32(idx.opts.SARate),
-		layout,
-		uint64(idx.n),
-		idx.sentPos,
-	}
-	for _, h := range header {
-		if err := put(h); err != nil {
-			return cw.n, err
-		}
-	}
-	if idx.packed != nil {
-		if err := put(idx.packed.sentPos); err != nil {
-			return cw.n, err
-		}
-		if err := put(uint64(len(idx.packed.words))); err != nil {
-			return cw.n, err
-		}
-		if err := put(idx.packed.words); err != nil {
-			return cw.n, err
-		}
-	} else {
-		if _, err := cw.Write(idx.bwt); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := put(idx.c[:]); err != nil {
-		return cw.n, err
-	}
-	if idx.occ2 != nil {
-		if err := firstErr(
-			put(uint8(1)),
-			put(uint64(len(idx.occ2.super))),
-			put(idx.occ2.super),
-			put(uint64(len(idx.occ2.block))),
-			put(idx.occ2.block),
-		); err != nil {
-			return cw.n, err
-		}
-	} else {
-		if err := firstErr(
-			put(uint8(0)),
-			put(uint64(len(idx.occ))),
-			put(idx.occ),
-		); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := idx.writeSASamples(put); err != nil {
+	if err := firstErr(
+		put(indexMagic),
+		put(uint32(idx.opts.OccRate)),
+		put(uint32(idx.opts.SARate)),
+		put(layoutPacked),
+		put(uint64(idx.n)),
+		put(idx.sentPos),
+		put(idx.bwt.sentPos),
+		put(uint64(len(idx.bwt.words))),
+		put(idx.bwt.words),
+		put(idx.c[:]),
+		put(occFlat),
+		put(uint64(len(idx.occ))),
+		put(idx.occ),
+		idx.writeSASamples(put),
+	); err != nil {
 		return cw.n, err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
@@ -166,8 +132,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrFormat, err)
 	}
-	idx.opts = Options{OccRate: int(occRate), SARate: int(saRate), PackedBWT: layout == layoutPacked}
-	idx.deriveOccShift()
+	idx.opts = Options{OccRate: int(occRate), SARate: int(saRate)}
 	if err := idx.opts.normalize(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -181,7 +146,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 
 	switch layout {
 	case layoutPacked:
-		p := &packedBWT{n: int32(n) + 1}
+		p := packedBWT{n: int32(n) + 1}
 		var words uint64
 		if err := firstErr(get(&p.sentPos), get(&words)); err != nil {
 			return nil, fmt.Errorf("%w: packed header: %v", ErrFormat, err)
@@ -194,13 +159,16 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("%w: packed words: %v", ErrFormat, err)
 		}
 		p.words = payload
-		idx.packed = p
+		idx.bwt = p
 	case layoutByte:
 		bwt, err := binio.ReadSlice[byte](br, n+1)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bwt: %v", ErrFormat, err)
 		}
-		idx.bwt = bwt
+		if err := checkByteBWT(bwt, idx.sentPos); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
+		idx.bwt = newPackedBWT(bwt, 1)
 	default:
 		return nil, fmt.Errorf("%w: layout %d", ErrFormat, layout)
 	}
@@ -213,28 +181,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: occ layout", ErrFormat)
 	}
 	switch occLayout {
-	case 1:
-		idx.opts.TwoLevelOcc = true
-		occ2 := &twoLevelOcc{}
-		var superLen, blockLen uint64
-		if err := get(&superLen); err != nil || superLen > maxLen {
-			return nil, fmt.Errorf("%w: super length", ErrFormat)
-		}
-		super, err := binio.ReadSlice[uint32](br, superLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: super: %v", ErrFormat, err)
-		}
-		occ2.super = super
-		if err := get(&blockLen); err != nil || blockLen > maxLen {
-			return nil, fmt.Errorf("%w: block length", ErrFormat)
-		}
-		block, err := binio.ReadSlice[uint8](br, blockLen)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block: %v", ErrFormat, err)
-		}
-		occ2.block = block
-		idx.occ2 = occ2
-	case 0:
+	case occFlat:
 		var occLen uint64
 		if err := get(&occLen); err != nil || occLen > maxLen {
 			return nil, fmt.Errorf("%w: occ length", ErrFormat)
@@ -244,9 +191,27 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("%w: occ: %v", ErrFormat, err)
 		}
 		idx.occ = occ
+	case occTwoLevel:
+		// 32-bit superblock counts, then 8-bit block counts; both are
+		// skipped and flat checkpoints rebuilt from the BWT below.
+		for _, width := range []uint64{4, 1} {
+			var entries uint64
+			if err := get(&entries); err != nil || entries > maxLen {
+				return nil, fmt.Errorf("%w: two-level length", ErrFormat)
+			}
+			if _, err := br.Discard(int(entries * width)); err != nil {
+				return nil, fmt.Errorf("%w: two-level counts: %v", ErrFormat, err)
+			}
+		}
+		if err := idx.verifyPayload(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
+		idx.opts.OccRate = DefaultOccRate
+		idx.occ = buildFlatOcc(idx.bwt.unpack(), DefaultOccRate, 1)
 	default:
 		return nil, fmt.Errorf("%w: occ layout %d", ErrFormat, occLayout)
 	}
+	idx.deriveOccShift()
 	if err := idx.readSASamples(br); err != nil {
 		return nil, err
 	}
@@ -256,87 +221,97 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return idx, nil
 }
 
-// verifyLoad cross-checks the structures decoded from an untrusted
-// stream against each other in O(n): the C array must be the prefix sums
-// of the BWT's character counts, the rankall checkpoints must equal a
-// fresh recount, and the LF mapping must form a single cycle through all
-// n+1 rows whose recovered text positions match every stored SA sample.
-// An index that passes is fully internally consistent — Step, Locate and
-// the LF walk cannot index out of range or loop forever on it — so a
-// corrupt file is rejected here rather than surfacing as a panic deep in
-// a search. The deeper (and slower) oracle cross-checks live behind the
-// kminvariants build tag; this gate is cheap enough to run on every
-// load.
-func (idx *Index) verifyLoad() error {
+// checkByteBWT validates a byte-per-character BWT payload before it is
+// packed, which could represent neither a junk value nor a second
+// sentinel: every value must be a rank, and the one sentinel must sit
+// at sentPos.
+func checkByteBWT(bwt []byte, sentPos int32) error {
+	for i, ch := range bwt {
+		if ch >= alphabet.Size {
+			return fmt.Errorf("bwt value %d at row %d", ch, i)
+		}
+		if (ch == alphabet.Sentinel) != (int32(i) == sentPos) {
+			return fmt.Errorf("bwt row %d holds %d, sentinel expected at row %d", i, ch, sentPos)
+		}
+	}
+	return nil
+}
+
+// verifyPayload checks the packed BWT against the header: one code per
+// row, the sentinel where the header puts it, and code 0 in the
+// sentinel's slot, which count and countAll rely on when they discount
+// it.
+func (idx *Index) verifyPayload() error {
 	rows := idx.n + 1
 	if idx.sentPos < 0 || int(idx.sentPos) >= rows {
 		return fmt.Errorf("sentinel position %d outside %d rows", idx.sentPos, rows)
 	}
+	p := &idx.bwt
+	if int(p.n) != rows || p.sentPos != idx.sentPos {
+		return fmt.Errorf("packed header (n=%d sent=%d) disagrees with index (n=%d sent=%d)",
+			p.n, p.sentPos, rows, idx.sentPos)
+	}
+	if len(p.words) != (rows+codesPerWord-1)/codesPerWord {
+		return fmt.Errorf("packed payload %d words for %d rows", len(p.words), rows)
+	}
+	if code := p.code(p.sentPos); code != 0 {
+		return fmt.Errorf("sentinel slot holds code %d, want 0", code)
+	}
+	return nil
+}
+
+// verifyLoad cross-checks the structures decoded from an untrusted
+// stream against each other in O(n): the packed payload must match the
+// header, the C array must be the prefix sums of the BWT's character
+// counts, the rankall checkpoints must equal a fresh recount, and the
+// LF mapping must form a single cycle through all n+1 rows whose
+// recovered text positions match every stored SA sample. An index that
+// passes is fully internally consistent — Step, Locate and the LF walk
+// cannot index out of range or loop forever on it — so a corrupt file
+// is rejected here rather than surfacing as a panic deep in a search.
+// The deeper (and slower) oracle cross-checks live behind the
+// kminvariants build tag; this gate is cheap enough to run on every
+// load.
+func (idx *Index) verifyLoad() error {
 	if idx.rel != nil {
+		if idx.sentPos < 0 || int(idx.sentPos) > idx.n {
+			return fmt.Errorf("sentinel position %d outside %d rows", idx.sentPos, idx.n+1)
+		}
 		return idx.verifyRelativeLoad()
 	}
-	if p := idx.packed; p != nil {
-		if int(p.n) != rows || p.sentPos != idx.sentPos {
-			return fmt.Errorf("packed header (n=%d sent=%d) disagrees with index (n=%d sent=%d)",
-				p.n, p.sentPos, rows, idx.sentPos)
-		}
-		if len(p.words) != (rows+codesPerWord-1)/codesPerWord {
-			return fmt.Errorf("packed payload %d words for %d rows", len(p.words), rows)
-		}
-	} else if len(idx.bwt) != rows {
-		return fmt.Errorf("bwt payload %d bytes for %d rows", len(idx.bwt), rows)
+	if err := idx.verifyPayload(); err != nil {
+		return err
 	}
-
-	// Character census; in the byte layout also reject junk values and
-	// stray sentinels (the packed layout cannot represent either).
+	rows := idx.n + 1
+	bwt := idx.bwt.unpack()
 	var counts [alphabet.Size]int32
-	if idx.packed == nil {
-		for i, ch := range idx.bwt {
-			if ch >= alphabet.Size {
-				return fmt.Errorf("bwt value %d at row %d", ch, i)
-			}
-			if ch == alphabet.Sentinel && int32(i) != idx.sentPos {
-				return fmt.Errorf("stray sentinel at row %d (header says %d)", i, idx.sentPos)
-			}
-			counts[ch]++
-		}
-	} else {
-		for i := int32(0); int(i) < rows; i++ {
-			counts[idx.bwtAt(i)]++
-		}
+	for _, ch := range bwt {
+		counts[ch]++
 	}
 	if err := idx.verifyCArray(counts); err != nil {
 		return err
 	}
 
 	// Rankall checkpoints: recompute from the BWT and demand equality.
-	bwt := idx.BWT()
-	if idx.occ2 != nil {
-		fresh := buildTwoLevel(bwt, 1)
-		if !slices.Equal(fresh.super, idx.occ2.super) || !slices.Equal(fresh.block, idx.occ2.block) {
-			return fmt.Errorf("two-level occ directory disagrees with bwt recount")
-		}
-	} else {
-		rate := idx.opts.OccRate
-		nChk := rows/rate + 1
-		if len(idx.occ) != nChk*alphabet.Bases {
-			return fmt.Errorf("occ table %d entries, want %d", len(idx.occ), nChk*alphabet.Bases)
-		}
-		var running [alphabet.Bases]int32
-		for p := 0; p <= rows; p++ {
-			if p%rate == 0 {
-				chk := (p / rate) * alphabet.Bases
-				for x := 0; x < alphabet.Bases; x++ {
-					if idx.occ[chk+x] != running[x] {
-						return fmt.Errorf("occ checkpoint %d base %d = %d, recount %d",
-							p/rate, x, idx.occ[chk+x], running[x])
-					}
+	rate := idx.opts.OccRate
+	nChk := rows/rate + 1
+	if len(idx.occ) != nChk*alphabet.Bases {
+		return fmt.Errorf("occ table %d entries, want %d", len(idx.occ), nChk*alphabet.Bases)
+	}
+	var running [alphabet.Bases]int32
+	for p := 0; p <= rows; p++ {
+		if p%rate == 0 {
+			chk := (p / rate) * alphabet.Bases
+			for x := 0; x < alphabet.Bases; x++ {
+				if idx.occ[chk+x] != running[x] {
+					return fmt.Errorf("occ checkpoint %d base %d = %d, recount %d",
+						p/rate, x, idx.occ[chk+x], running[x])
 				}
 			}
-			if p < rows {
-				if ch := bwt[p]; ch != alphabet.Sentinel {
-					running[ch-1]++
-				}
+		}
+		if p < rows {
+			if ch := bwt[p]; ch != alphabet.Sentinel {
+				running[ch-1]++
 			}
 		}
 	}

@@ -24,12 +24,18 @@ type testLayout struct {
 // testLayouts indexes target in every layout: a standalone Index, a
 // ShardedIndex searched over all of its shards and over a strict subset
 // (the even ordinals), and a RelativeIndex against a base built from a
-// mutated copy of target. Patterns up to 100 bases are valid on all.
-// It also returns the sharded index, for tests that aim at its shard
-// boundaries.
+// mutated copy of target. The standalone and relative layouts come
+// twice, once at the default rankall spacing and once at the paper's
+// rate 4 (for the tenant, its base's spacing). Patterns up to 100 bases
+// are valid on all. It also returns the sharded index, for tests that
+// aim at its shard boundaries.
 func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *ShardedIndex) {
 	t.Helper()
 	mono, err := New(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono4, err := New(target, WithOccRate(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +43,20 @@ func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *Sh
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := New(mutateDNA(rng, target, 0.02))
+	baseText := mutateDNA(rng, target, 0.02)
+	base, err := New(baseText)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel, err := NewRelative(base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base4, err := New(baseText, WithOccRate(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel4, err := NewRelative(base4, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +67,7 @@ func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *Sh
 	all := func(int) bool { return true }
 	return []testLayout{
 		{"index", mono.SearchMethodScratch, all},
+		{"index-rate4", mono4.SearchMethodScratch, all},
 		{"sharded", sh.SearchMethodScratch, all},
 		{"sharded-subset",
 			func(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
@@ -66,6 +82,7 @@ func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *Sh
 				return false
 			}},
 		{"relative", rel.SearchMethodScratch, all},
+		{"relative-rate4", rel4.SearchMethodScratch, all},
 	}, sh
 }
 

@@ -27,9 +27,11 @@ func defaultConfig() config {
 type Option func(*config)
 
 // WithOccRate sets the rankall checkpoint spacing of the BWT index: one
-// cumulative count per character every rate positions. The paper's
-// experiments use rate 4 (the default); larger rates shrink the index at
-// the cost of scanning up to rate-1 characters per rank query (§III-A).
+// cumulative count per character every rate positions, with the ranks
+// in between counted by popcounts over the 2-bit BWT. The default, 32,
+// reads one checkpoint row and one BWT word per rank query; the
+// paper's experiments use rate 4, and larger rates shrink the index at
+// the cost of longer popcount scans (§III-A).
 func WithOccRate(rate int) Option {
 	return func(c *config) { c.fm.OccRate = rate }
 }
@@ -38,23 +40,6 @@ func WithOccRate(rate int) Option {
 // occurrences: every rate-th target position is kept. The default is 16.
 func WithSARate(rate int) Option {
 	return func(c *config) { c.fm.SARate = rate }
-}
-
-// WithTwoLevelOcc replaces the paper's flat rankall table with a
-// hierarchical directory (absolute 32-bit counts every 256 positions,
-// relative 8-bit counts every 16): ~2.5 bits/base of occ overhead
-// instead of 32 at the paper's rate-4 layout, at equal query speed.
-// OccRate is ignored when set.
-func WithTwoLevelOcc() Option {
-	return func(c *config) { c.fm.TwoLevelOcc = true }
-}
-
-// WithPackedBWT stores the BWT at 2 bits per character and counts
-// occurrences with word-parallel popcounts. It cuts the BWT payload 4x
-// and is the faster layout when combined with sparse rankall sampling
-// (WithOccRate >= 32).
-func WithPackedBWT() Option {
-	return func(c *config) { c.fm.PackedBWT = true }
 }
 
 // WithBuildWorkers parallelizes index construction across n goroutines

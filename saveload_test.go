@@ -13,8 +13,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	for _, opts := range [][]Option{
 		nil,
-		{WithOccRate(32), WithSARate(8)},
-		{WithPackedBWT(), WithOccRate(64)},
+		{WithOccRate(4), WithSARate(8)},
+		{WithOccRate(64)},
 	} {
 		target := randomDNA(rng, 2000)
 		orig, err := New(target, opts...)

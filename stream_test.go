@@ -38,7 +38,7 @@ func TestStreamBuilderByteIdentical(t *testing.T) {
 		opts []Option
 	}{
 		{"default", nil},
-		{"packed-twolevel", []Option{WithPackedBWT(), WithTwoLevelOcc(), WithSARate(8)}},
+		{"rate4", []Option{WithOccRate(4), WithSARate(8)}},
 		{"workers", []Option{WithBuildWorkers(3)}},
 	}
 	totals := []int{1, shardSize - 1, shardSize, shardSize + 1,
