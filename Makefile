@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test perfbench-test race race-server vet kmvet lint lint-report invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
+.PHONY: build test perfbench-test race race-server vet kmvet lint lint-report invariants fuzz-smoke bench-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadShardedRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRelativeRoundTrip -fuzztime=10s -tags kminvariants .
+
+# Every Go benchmark of the module, once each: a benchmark that panics
+# or fails breaks the gate instead of rotting until someone times it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Observability smoke test: boots kmserved, scrapes /metrics (including
 # the km_slo_* series) and /debug/flightrecorder, and validates the
@@ -123,7 +128,7 @@ trace-smoke:
 	$(GO) test -run='^TestTraceSmoke$$' -count=1 ./server/cluster/...
 
 # The one-stop pre-commit gate.
-check: lint perfbench-test race-server race invariants fuzz-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
+check: lint perfbench-test race-server race invariants fuzz-smoke bench-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

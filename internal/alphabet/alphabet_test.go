@@ -205,3 +205,41 @@ func TestPackSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want 32", got)
 	}
 }
+
+// TestCountCodes checks both counting kernels against a code-by-code
+// count over every range of a packed text that starts in its first
+// words, across word boundaries and at ragged ends, with no sentinel
+// and with one escaped in a slot holding code 0.
+func TestCountCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ranks := make([]byte, 300)
+	for i := range ranks {
+		ranks[i] = byte(A + rng.Intn(Bases))
+	}
+	const sent = 100
+	ranks[sent] = A // the code 0 an escaped sentinel's slot holds
+	p, err := Pack(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range []int32{-1, sent} {
+		for from := int32(0); from <= 70; from++ {
+			var want [Bases]int32
+			for to := from; to <= int32(len(ranks)); to++ {
+				if to > from && to-1 != sent {
+					want[ranks[to-1]-A]++
+				}
+				var got [Bases]int32
+				CountCodes(p.Words(), from, to, sent, &got)
+				if got != want {
+					t.Fatalf("sentinel %d: CountCodes(%d, %d) = %v, want %v", sent, from, to, got, want)
+				}
+				for code := byte(0); code < Bases; code++ {
+					if c := CountCode(p.Words(), code, from, to, sent); c != want[code] {
+						t.Fatalf("sentinel %d: CountCode(%d, %d, %d) = %d, want %d", sent, code, from, to, c, want[code])
+					}
+				}
+			}
+		}
+	}
+}

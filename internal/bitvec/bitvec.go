@@ -2,8 +2,12 @@
 //
 // The rank structure is the classic one-level sampled scheme: a cumulative
 // popcount is stored every 512 bits (8 words) and ranks inside a block are
-// completed with hardware popcounts. This is the "manual bit tricks"
-// substrate for the FM-index occ tables and the wavelet tree.
+// completed with hardware popcounts. Select binary-searches those
+// checkpoints and finishes inside one word with a broadword select; a
+// vector built by NewRankSelect0 also samples every 512th zero, so
+// Select0 searches only the superblocks between two samples. This is the
+// "manual bit tricks" substrate for the FM-index occ tables, the
+// relative index's marker vectors and the wavelet tree.
 package bitvec
 
 import "math/bits"
@@ -73,12 +77,19 @@ func FromWords(words []uint64, n int) *Vector {
 // blockWords is the number of 64-bit words per rank superblock (512 bits).
 const blockWords = 8
 
+// zeroSampleRate is the spacing of the select-0 sample directory: the
+// position of every zeroSampleRate-th 0-bit is stored.
+const zeroSampleRate = 512
+
 // Rank supports O(1) rank and O(log n)-ish select queries over an immutable
 // bit sequence.
 type Rank struct {
 	v      *Vector
 	blocks []uint32 // cumulative popcount before each superblock
 	ones   int
+	// zeroSamples[s] is the position of the (s*zeroSampleRate+1)-th
+	// 0-bit; nil unless built by NewRankSelect0.
+	zeroSamples []uint32
 }
 
 // NewRank freezes v (which must not be modified afterwards) and builds the
@@ -98,6 +109,21 @@ func NewRank(v *Vector) *Rank {
 	return r
 }
 
+// NewRankSelect0 is NewRank plus a select-0 sample directory: the
+// position of every 512th 0-bit, 4 bytes per 512 zeros. With it, Select0
+// reads one sample and searches only the superblocks up to the next
+// one, instead of all of them.
+func NewRankSelect0(v *Vector) *Rank {
+	r := NewRank(v)
+	zeros := r.v.n - r.ones
+	samples := make([]uint32, 0, (zeros+zeroSampleRate-1)/zeroSampleRate)
+	for j := 1; j <= zeros; j += zeroSampleRate {
+		samples = append(samples, uint32(r.Select0(j)))
+	}
+	r.zeroSamples = samples
+	return r
+}
+
 // Len returns the number of bits.
 func (r *Rank) Len() int { return r.v.n }
 
@@ -112,8 +138,10 @@ func (r *Rank) Get(i int) bool { return r.v.Get(i) }
 func (r *Rank) Words() []uint64 { return r.v.words }
 
 // SizeBytes returns the resident size: bit payload plus the rank
-// directory.
-func (r *Rank) SizeBytes() int { return len(r.v.words)*8 + len(r.blocks)*4 }
+// directory and any select-0 samples.
+func (r *Rank) SizeBytes() int {
+	return len(r.v.words)*8 + len(r.blocks)*4 + len(r.zeroSamples)*4
+}
 
 // Rank1 returns the number of 1-bits in positions [0, i). Rank1(Len()) is
 // the total popcount.
@@ -168,8 +196,17 @@ func (r *Rank) Select0(j int) int {
 	// Binary search over superblocks on the complement count (zeros
 	// before superblock i = i*512 - ones before it), then scan words.
 	// Padding zeros past Len() in the final word cannot be selected:
-	// j <= zeros, and every real zero precedes the padding bits.
+	// j <= zeros, and every real zero precedes the padding bits. The
+	// j-th zero lies between the samples of the zeros numbered
+	// s*512+1 and (s+1)*512+1, so with samples the search covers only
+	// their superblocks — usually one or two.
 	lo, hi := 0, len(r.blocks)-1
+	if s := (j - 1) / zeroSampleRate; s < len(r.zeroSamples) {
+		lo = int(r.zeroSamples[s]) / (blockWords * 64)
+		if s+1 < len(r.zeroSamples) {
+			hi = int(r.zeroSamples[s+1]) / (blockWords * 64)
+		}
+	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		if mid*blockWords*64-int(r.blocks[mid]) < j {
@@ -189,16 +226,75 @@ func (r *Rank) Select0(j int) int {
 	return -1
 }
 
-// selectInWord returns the position (0..63) of the j-th set bit of w,
-// 1-based; behaviour is undefined if w has fewer than j bits.
-func selectInWord(w uint64, j int) int {
-	for i := 0; i < 64; i++ {
-		if w>>uint(i)&1 == 1 {
-			j--
-			if j == 0 {
-				return i
+// Select0From returns the position of the c-th 0-bit at or after
+// position p (c >= 1), or -1 if there is none: Select0(Rank0(p)+c)
+// without the rank. It scans forward to the end of p's superblock and
+// hands the rest to Select0, so a long run of ones costs one sampled
+// select, not a scan.
+func (r *Rank) Select0From(p, c int) int {
+	if p < 0 || p >= r.v.n {
+		return -1
+	}
+	w := p >> 6
+	word := ^r.v.words[w] &^ (1<<uint(p&63) - 1) // zeros at or after p
+	end := min(w-w%blockWords+blockWords, len(r.v.words))
+	for {
+		z := bits.OnesCount64(word)
+		if c <= z {
+			if pos := w*64 + selectInWord(word, c); pos < r.v.n {
+				return pos
+			}
+			return -1 // a padding bit past Len()
+		}
+		c -= z
+		if w++; w == end {
+			break
+		}
+		word = ^r.v.words[w]
+	}
+	if w == len(r.v.words) {
+		return -1
+	}
+	// w starts a superblock: the zeros before it are its complement count.
+	return r.Select0(w*64 - int(r.blocks[w/blockWords]) + c)
+}
+
+// selectInByte[r<<8|b] is the position (0..7) of the (r+1)-th set bit
+// of byte b, for r below the popcount of b.
+var selectInByte = func() (t [8 << 8]uint8) {
+	for b := 0; b < 256; b++ {
+		r := 0
+		for i := 0; i < 8; i++ {
+			if b>>uint(i)&1 == 1 {
+				t[r<<8|b] = uint8(i)
+				r++
 			}
 		}
 	}
-	return -1
+	return
+}()
+
+// selectInWord returns the position (0..63) of the j-th set bit of w,
+// 1-based; w must have at least j set bits. It is the broadword select
+// of Vigna ("Broadword implementation of rank/select queries"): the
+// popcount of each byte, their prefix sums by one multiplication, a
+// bytewise comparison with j-1 that counts the bytes before the target
+// one, and a table lookup inside that byte.
+func selectInWord(w uint64, j int) int {
+	const (
+		l8 = 0x0101010101010101
+		h8 = 0x8080808080808080
+	)
+	s := w - w>>1&0x5555555555555555
+	s = s&0x3333333333333333 + s>>2&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f
+	sums := s * l8 // byte i: set bits in bytes 0..i (at most 64)
+	k := uint64(j - 1)
+	// Byte i of (k|0x80)*l8 - sums is 128+k-sums_i, with no borrow
+	// between bytes; its high bit is set exactly when sums_i <= k,
+	// that is, for the bytes before the one holding the j-th bit.
+	place := uint(bits.OnesCount64(((k*l8|h8)-sums)&h8)) * 8
+	before := sums << 8 >> place & 0xff // set bits below the target byte
+	b := w >> place & 0xff
+	return int(place) + int(selectInByte[((k-before)<<8|b)&(8<<8-1)])
 }

@@ -1,6 +1,8 @@
 package bitvec
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,23 +111,110 @@ func TestSelect0Inverse(t *testing.T) {
 	}
 }
 
+// runVector returns a vector of n bits made of alternating runs: ones
+// runs of length onesRun and zero runs of length zerosRun.
+func runVector(n, onesRun, zerosRun int) *Vector {
+	v := New(n)
+	for i := 0; i < n; {
+		for e := min(i+onesRun, n); i < e; i++ {
+			v.Set(i)
+		}
+		i += zerosRun
+	}
+	return v
+}
+
+// TestSelect0AgainstScan checks Select0, with and without the sample
+// directory, and Select0From against the zero positions a scan finds.
+// The shapes give well over 512 zeros, lengths off a multiple of 64,
+// and runs of ones longer than a word and longer than the gap between
+// two samples, so a sample off by one zero or a scan that stops at the
+// wrong superblock shows here.
 func TestSelect0AgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 63, 64, 65, 511, 512, 513, 1000, 4096, 5000} {
+	type shape struct {
+		name string
+		v    *Vector
+	}
+	var shapes []shape
+	for _, n := range []int{1, 63, 64, 65, 511, 512, 513, 1000, 4096, 5000, 40001} {
 		for _, density := range []float64{0, 0.05, 0.5, 0.95, 1} {
-			v := randomVector(rng, n, density)
-			r := NewRank(v)
-			j := 0
-			for i := 0; i < n; i++ {
-				if !v.Get(i) {
-					j++
-					if got := r.Select0(j); got != i {
-						t.Fatalf("n=%d d=%.2f Select0(%d) = %d, want %d", n, density, j, got, i)
+			shapes = append(shapes, shape{fmt.Sprintf("n=%d d=%.2f", n, density), randomVector(rng, n, density)})
+		}
+	}
+	for _, r := range [][2]int{{100, 3}, {700, 200}, {3000, 513}, {5000, 1}} {
+		for _, n := range []int{20000, 33333} {
+			shapes = append(shapes, shape{fmt.Sprintf("n=%d ones %d zeros %d", n, r[0], r[1]), runVector(n, r[0], r[1])})
+		}
+	}
+	for _, sh := range shapes {
+		v := sh.v
+		n := v.Len()
+		var zeroAt []int        // position of each zero, in order
+		zerosBefore := []int{0} // zerosBefore[p] = zeros in [0, p)
+		for i := 0; i < n; i++ {
+			if !v.Get(i) {
+				zeroAt = append(zeroAt, i)
+			}
+			zerosBefore = append(zerosBefore, len(zeroAt))
+		}
+		for _, r := range []*Rank{NewRank(v), NewRankSelect0(v)} {
+			for j, want := range zeroAt {
+				if got := r.Select0(j + 1); got != want {
+					t.Fatalf("%s samples=%v: Select0(%d) = %d, want %d", sh.name, r.zeroSamples != nil, j+1, got, want)
+				}
+			}
+			if got := r.Select0(len(zeroAt) + 1); got != -1 {
+				t.Fatalf("%s: Select0(zeros+1) = %d, want -1", sh.name, got)
+			}
+			for p := 0; p < n; p++ {
+				for _, c := range []int{1, 2, 63, 64, 65, 600} {
+					want := -1
+					if k := zerosBefore[p] + c - 1; k < len(zeroAt) {
+						want = zeroAt[k]
+					}
+					if got := r.Select0From(p, c); got != want {
+						t.Fatalf("%s: Select0From(%d, %d) = %d, want %d", sh.name, p, c, got, want)
 					}
 				}
 			}
-			if got := r.Select0(j + 1); got != -1 {
-				t.Fatalf("n=%d d=%.2f Select0(zeros+1) = %d, want -1", n, density, got)
+			if got := r.Select0From(n, 1); got != -1 {
+				t.Fatalf("%s: Select0From(len, 1) = %d, want -1", sh.name, got)
+			}
+		}
+		if r := NewRankSelect0(v); len(r.zeroSamples) != (len(zeroAt)+511)/512 {
+			t.Fatalf("%s: %d samples for %d zeros", sh.name, len(r.zeroSamples), len(zeroAt))
+		}
+	}
+}
+
+// TestSelectInWord checks the broadword select against the bit loop it
+// replaced, on random words and on edge words.
+func TestSelectInWord(t *testing.T) {
+	loop := func(w uint64, j int) int {
+		for i := 0; i < 64; i++ {
+			if w>>uint(i)&1 == 1 {
+				if j--; j == 0 {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	words := []uint64{1, 1 << 63, ^uint64(0), 1<<63 | 1, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
+		0xff, 0xff00000000000000, 0x0000ffff00000000, 0x8080808080808080}
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 2000; i++ {
+		w := rng.Uint64()
+		for k := rng.Intn(4); k > 0; k-- { // sparser words too
+			w &= rng.Uint64()
+		}
+		words = append(words, w)
+	}
+	for _, w := range words {
+		for j := 1; j <= bits.OnesCount64(w); j++ {
+			if got, want := selectInWord(w, j), loop(w, j); got != want {
+				t.Fatalf("selectInWord(%#x, %d) = %d, want %d", w, j, got, want)
 			}
 		}
 	}
@@ -239,5 +328,17 @@ func BenchmarkSelect1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Select1(i%ones + 1)
+	}
+}
+
+// BenchmarkSelect0 selects zeros of a vector one tenth ones, the
+// density of a 1% tenant's deleted base rows, through the sample
+// directory.
+func BenchmarkSelect0(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	r := NewRankSelect0(randomVector(rng, 1<<20, 0.1))
+	zeros := r.Len() - r.Ones()
+	for i := 0; b.Loop(); i++ {
+		r.Select0(i%zeros + 1)
 	}
 }

@@ -4,6 +4,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -19,18 +20,21 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				v.Set(i)
 			}
 		}
-		return NewRank(v)
+		return NewRankSelect0(v)
 	}
 
 	cases := []struct {
 		name   string
 		tamper func(r *Rank)
+		want   string // the check that must report it, when one is pinned
 	}{
-		{"block checkpoint", func(r *Rank) { r.blocks[1]++ }},
-		{"cached ones", func(r *Rank) { r.ones++ }},
-		{"payload bit flip", func(r *Rank) { r.v.words[3] ^= 1 << 17 }},
-		{"stale tail bit", func(r *Rank) { r.v.words[len(r.v.words)-1] |= 1 << 63 }},
-		{"truncated blocks", func(r *Rank) { r.blocks = r.blocks[:len(r.blocks)-1] }},
+		{"block checkpoint", func(r *Rank) { r.blocks[1]++ }, ""},
+		{"cached ones", func(r *Rank) { r.ones++ }, ""},
+		{"payload bit flip", func(r *Rank) { r.v.words[3] ^= 1 << 17 }, ""},
+		{"stale tail bit", func(r *Rank) { r.v.words[len(r.v.words)-1] |= 1 << 63 }, ""},
+		{"truncated blocks", func(r *Rank) { r.blocks = r.blocks[:len(r.blocks)-1] }, ""},
+		{"select-0 sample", func(r *Rank) { r.zeroSamples[1]++ }, "select-0 sample 1 "},
+		{"missing select-0 sample", func(r *Rank) { r.zeroSamples = r.zeroSamples[:1] }, "select-0 sample 1 "},
 	}
 	for _, tc := range cases {
 		r := build()
@@ -38,8 +42,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Fatalf("pristine structure rejected: %v", err)
 		}
 		tc.tamper(r)
-		if err := r.CheckInvariants(); err == nil {
+		err := r.CheckInvariants()
+		if err == nil {
 			t.Errorf("%s: corruption not detected", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rejected by %q, want the %q check", tc.name, err, tc.want)
 		}
 	}
 }

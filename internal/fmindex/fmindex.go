@@ -252,6 +252,15 @@ func (idx *Index) occAt(x byte, p int32) int32 {
 	if idx.rel != nil {
 		return idx.relOccAt(x, p)
 	}
+	// flatOccAt's body, repeated: a call here would add one to every
+	// rank step of Step and MatchLen.
+	row, from := idx.checkpoint(p)
+	return idx.occ[row*alphabet.Bases+int32(x-1)] + idx.bwt.count(x, from, p)
+}
+
+// flatOccAt is occAt on a standalone index: one checkpoint row plus
+// the popcount of the BWT words after it.
+func (idx *Index) flatOccAt(x byte, p int32) int32 {
 	row, from := idx.checkpoint(p)
 	return idx.occ[row*alphabet.Bases+int32(x-1)] + idx.bwt.count(x, from, p)
 }
@@ -271,9 +280,13 @@ func (idx *Index) Step(x byte, iv Interval) Interval {
 // which is what makes the S-tree expansion loop ("for each y within L⟨v⟩",
 // Algorithm A line 16) cheap.
 func (idx *Index) StepAll(iv Interval, out *[alphabet.Bases]Interval) {
+	if idx.rel != nil {
+		idx.relStepAll(iv, out)
+		return
+	}
 	var lo, hi [alphabet.Bases]int32
-	idx.occAll(iv.Lo, &lo)
-	idx.occAll(iv.Hi, &hi)
+	idx.flatOccAll(iv.Lo, &lo)
+	idx.flatOccAll(iv.Hi, &hi)
 	for x := 0; x < alphabet.Bases; x++ {
 		c := idx.c[x+1]
 		out[x] = Interval{c + lo[x], c + hi[x]}
@@ -286,11 +299,14 @@ func (idx *Index) StepAll(iv Interval, out *[alphabet.Bases]Interval) {
 // character and the child interval; ok is false when the row's
 // continuation is the sentinel (the text start was reached).
 func (idx *Index) StepSingleton(iv Interval) (x byte, child Interval, ok bool) {
-	x = idx.bwtAt(iv.Lo)
+	if idx.rel != nil {
+		return idx.relStepSingleton(iv.Lo)
+	}
+	x = idx.bwt.get(iv.Lo)
 	if x == alphabet.Sentinel {
 		return 0, Interval{}, false
 	}
-	lo := idx.c[x] + idx.occAt(x, iv.Lo)
+	lo := idx.c[x] + idx.flatOccAt(x, iv.Lo)
 	return x, Interval{lo, lo + 1}, true
 }
 
@@ -300,6 +316,11 @@ func (idx *Index) occAll(p int32, cnt *[alphabet.Bases]int32) {
 		idx.relOccAll(p, cnt)
 		return
 	}
+	idx.flatOccAll(p, cnt)
+}
+
+// flatOccAll is occAll on a standalone index.
+func (idx *Index) flatOccAll(p int32, cnt *[alphabet.Bases]int32) {
 	row, from := idx.checkpoint(p)
 	// Four explicit loads: a 16-byte copy() here compiles to a
 	// memmove call, which profiles at ~10% of the whole search.
@@ -376,11 +397,15 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 // lfStep is the LF-mapping: the row of the suffix obtained by prepending
 // bwt[row] to the suffix of row.
 func (idx *Index) lfStep(row int32) int32 {
-	x := idx.bwtAt(row)
+	if idx.rel != nil {
+		_, child, _ := idx.relStepSingleton(row) // the sentinel's child is row 0
+		return child.Lo
+	}
+	x := idx.bwt.get(row)
 	if x == alphabet.Sentinel {
 		return 0
 	}
-	return idx.c[x] + idx.occAt(x, row)
+	return idx.c[x] + idx.flatOccAt(x, row)
 }
 
 // Locate resolves every row of iv to a text position (the start of the

@@ -32,6 +32,14 @@ func (idx *Index) CheckInvariants() error {
 	if err := idx.saMarked.CheckInvariants(); err != nil {
 		return fmt.Errorf("fmindex: SA mark bitvector: %w", err)
 	}
+	if d := idx.rel; d != nil {
+		if err := d.TenantIns.CheckInvariants(); err != nil {
+			return fmt.Errorf("fmindex: insertion markers: %w", err)
+		}
+		if err := d.BaseDel.CheckInvariants(); err != nil {
+			return fmt.Errorf("fmindex: deletion markers: %w", err)
+		}
+	}
 	if err := idx.verifyLoad(); err != nil {
 		return fmt.Errorf("fmindex: %w", err)
 	}

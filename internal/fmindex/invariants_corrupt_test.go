@@ -78,7 +78,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	t.Run("sentinel slot", func(t *testing.T) {
 		idx := build(flat)
 		s := idx.bwt.sentPos
-		idx.bwt.words[s/codesPerWord] |= 1 << uint((s%codesPerWord)*2)
+		idx.bwt.words[s/alphabet.CodesPerWord] |= 1 << uint((s%alphabet.CodesPerWord)*2)
 		if err := idx.CheckInvariants(); err == nil {
 			t.Error("nonzero code in the sentinel slot not detected")
 		}

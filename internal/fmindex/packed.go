@@ -1,7 +1,6 @@
 package fmindex
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"bwtmatch/internal/alphabet"
@@ -17,18 +16,16 @@ type packedBWT struct {
 	sentPos int32    // the sentinel's position; its stored code is 0
 }
 
-const codesPerWord = 32
-
 // newPackedBWT packs a rank-encoded BWT (values 0..4, exactly one
 // sentinel) across workers goroutines; ranges are word-aligned so each
 // output word has a single writer.
 func newPackedBWT(bwt []byte, workers int) packedBWT {
 	p := packedBWT{
-		words: make([]uint64, (len(bwt)+codesPerWord-1)/codesPerWord),
+		words: make([]uint64, (len(bwt)+alphabet.CodesPerWord-1)/alphabet.CodesPerWord),
 		n:     int32(len(bwt)),
 	}
 	var sent atomic.Int32
-	parallelRanges(len(bwt), workers, codesPerWord, func(w, lo, hi int) {
+	parallelRanges(len(bwt), workers, alphabet.CodesPerWord, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := bwt[i]
 			var code uint64
@@ -38,7 +35,7 @@ func newPackedBWT(bwt []byte, workers int) packedBWT {
 			} else {
 				code = uint64(r - 1)
 			}
-			p.words[i/codesPerWord] |= code << uint((i%codesPerWord)*2)
+			p.words[i/alphabet.CodesPerWord] |= code << uint((i%alphabet.CodesPerWord)*2)
 		}
 	})
 	p.sentPos = sent.Load()
@@ -48,7 +45,7 @@ func newPackedBWT(bwt []byte, workers int) packedBWT {
 // code returns the 2-bit code stored at position i, without the
 // sentinel substitution get makes.
 func (p *packedBWT) code(i int32) byte {
-	return byte(p.words[i/codesPerWord]>>uint((i%codesPerWord)*2)) & 3
+	return byte(p.words[i/alphabet.CodesPerWord]>>uint((i%alphabet.CodesPerWord)*2)) & 3
 }
 
 // get returns the rank (0 for the sentinel, 1..4 for bases) at position i.
@@ -77,41 +74,7 @@ func (p *packedBWT) unpack() []byte {
 // count returns the number of occurrences of base rank x (1..4) in
 // positions [from, to).
 func (p *packedBWT) count(x byte, from, to int32) int32 {
-	if from >= to {
-		return 0
-	}
-	code := uint64(x - 1)
-	// Pattern with the target code in every 2-bit slot.
-	pat := code * 0x5555555555555555
-	var cnt int32
-	wFrom, wTo := from/codesPerWord, (to-1)/codesPerWord
-	for w := wFrom; w <= wTo; w++ {
-		word := p.words[w] ^ pat // 00 pairs where the code matches
-		// Collapse each pair to a single bit: 0 where matched.
-		miss := (word | word>>1) & 0x5555555555555555
-		matched := uint64(0x5555555555555555) &^ miss
-		// Mask the in-range slots of this word.
-		lo := int32(0)
-		if w == wFrom {
-			lo = from % codesPerWord
-		}
-		hi := int32(codesPerWord)
-		if w == wTo {
-			hi = (to-1)%codesPerWord + 1
-		}
-		if lo > 0 {
-			matched &^= (uint64(1) << uint(lo*2)) - 1
-		}
-		if hi < codesPerWord {
-			matched &= (uint64(1) << uint(hi*2)) - 1
-		}
-		cnt += int32(bits.OnesCount64(matched))
-	}
-	// The sentinel slot stores code 0; undo the spurious 'a' match.
-	if x == alphabet.A && from <= p.sentPos && p.sentPos < to {
-		cnt--
-	}
-	return cnt
+	return alphabet.CountCode(p.words, x-1, from, to, p.sentPos)
 }
 
 // countAll adds the occurrences of every base in positions [from, to)
@@ -119,35 +82,7 @@ func (p *packedBWT) count(x byte, from, to int32) int32 {
 // the StepAll expansion loop calls this for both interval endpoints, so
 // the single pass quarters the memory traffic of four count() calls.
 func (p *packedBWT) countAll(from, to int32, cnt *[alphabet.Bases]int32) {
-	if from >= to {
-		return
-	}
-	const odd = uint64(0x5555555555555555)
-	wFrom, wTo := from/codesPerWord, (to-1)/codesPerWord
-	for w := wFrom; w <= wTo; w++ {
-		word := p.words[w]
-		mask := odd
-		if w == wFrom {
-			if lo := from % codesPerWord; lo > 0 {
-				mask &^= (uint64(1) << uint(lo*2)) - 1
-			}
-		}
-		if w == wTo {
-			if hi := (to-1)%codesPerWord + 1; hi < codesPerWord {
-				mask &= (uint64(1) << uint(hi*2)) - 1
-			}
-		}
-		b0 := word & odd
-		b1 := (word >> 1) & odd
-		cnt[0] += int32(bits.OnesCount64(mask &^ (b0 | b1))) // code 00 = a
-		cnt[1] += int32(bits.OnesCount64(mask & b0 &^ b1))   // code 01 = c
-		cnt[2] += int32(bits.OnesCount64(mask & b1 &^ b0))   // code 10 = g
-		cnt[3] += int32(bits.OnesCount64(mask & b0 & b1))    // code 11 = t
-	}
-	// The sentinel slot stores code 0; undo the spurious 'a' match.
-	if from <= p.sentPos && p.sentPos < to {
-		cnt[0]--
-	}
+	alphabet.CountCodes(p.words, from, to, p.sentPos, cnt)
 }
 
 // sizeBytes returns the payload size.

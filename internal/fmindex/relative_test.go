@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bwtmatch/internal/alphabet"
@@ -36,6 +37,14 @@ func buildRelativePair(t *testing.T, rng *rand.Rand, n int, rate float64) (base,
 	t.Helper()
 	baseText := randomRanks(rng, n)
 	tenText = mutateRanks(rng, baseText, rate)
+	base, tenant, rel = buildRelative(t, baseText, tenText)
+	return base, tenant, rel, tenText
+}
+
+// buildRelative indexes both texts and expresses the tenant against
+// the base.
+func buildRelative(t *testing.T, baseText, tenText []byte) (base, tenant, rel *Index) {
+	t.Helper()
 	base, err := Build(baseText, Options{OccRate: 4, SARate: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -48,14 +57,30 @@ func buildRelativePair(t *testing.T, rng *rand.Rand, n int, rate float64) (base,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base, tenant, rel, tenText
+	return base, tenant, rel
 }
 
 func TestRelativeMatchesStandalone(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
-	for trial := 0; trial < 8; trial++ {
-		n := 200 + rng.Intn(2000)
-		_, tenant, rel, tenText := buildRelativePair(t, rng, n, 0.03)
+	for trial := 0; trial < 11; trial++ {
+		// Trials 8 and 9 diverge far enough for alignment blocks to
+		// fail. Trial 10's base holds a run of 600 'a's that its tenant
+		// lacks: the base rows starting a^k are consecutive and all
+		// deleted, so some narrow tenant intervals span hundreds of
+		// base rows.
+		var tenant, rel *Index
+		var tenText []byte
+		switch n := 200 + rng.Intn(2000); {
+		case trial < 8:
+			_, tenant, rel, tenText = buildRelativePair(t, rng, n, 0.03)
+		case trial < 10:
+			_, tenant, rel, tenText = buildRelativePair(t, rng, n, 0.4)
+		default:
+			baseText := randomRanks(rng, n)
+			tenText = mutateRanks(rng, baseText, 0.01)
+			baseText = slices.Insert(baseText, n/2, bytes.Repeat([]byte{alphabet.A}, 600)...)
+			_, tenant, rel = buildRelative(t, baseText, tenText)
+		}
 
 		if !bytes.Equal(rel.BWT(), tenant.BWT()) {
 			t.Fatal("bridged BWT differs from standalone")
@@ -72,6 +97,31 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 				if got, want := rel.occAt(x, p), tenant.occAt(x, p); got != want {
 					t.Fatalf("occAt(%d,%d): relative %d, standalone %d", x, p, got, want)
 				}
+			}
+		}
+		// The steps the walks take: StepAll on every interval up to 70
+		// rows wide and on wide ones from every third row, and
+		// StepSingleton and the LF step on every row.
+		var relOut, tenOut [alphabet.Bases]Interval
+		for lo := int32(0); lo <= rows; lo++ {
+			for hi := lo; hi <= rows && (hi-lo <= 70 || lo%3 == 0); hi += 1 + (hi-lo)/70*37 {
+				rel.StepAll(Interval{lo, hi}, &relOut)
+				tenant.StepAll(Interval{lo, hi}, &tenOut)
+				if relOut != tenOut {
+					t.Fatalf("trial %d: StepAll([%d, %d)): relative %v, standalone %v", trial, lo, hi, relOut, tenOut)
+				}
+			}
+			if lo == rows {
+				break
+			}
+			gx, gc, gok := rel.StepSingleton(Interval{lo, lo + 1})
+			wx, wc, wok := tenant.StepSingleton(Interval{lo, lo + 1})
+			if gx != wx || gc != wc || gok != wok {
+				t.Fatalf("trial %d: StepSingleton(%d): relative (%d, %v, %v), standalone (%d, %v, %v)",
+					trial, lo, gx, gc, gok, wx, wc, wok)
+			}
+			if got, want := rel.lfStep(lo), tenant.lfStep(lo); got != want {
+				t.Fatalf("trial %d: lfStep(%d): relative %d, standalone %d", trial, lo, got, want)
 			}
 		}
 		// Search + Locate equivalence over sampled patterns.

@@ -251,7 +251,7 @@ func (idx *Index) verifyPayload() error {
 		return fmt.Errorf("packed header (n=%d sent=%d) disagrees with index (n=%d sent=%d)",
 			p.n, p.sentPos, rows, idx.sentPos)
 	}
-	if len(p.words) != (rows+codesPerWord-1)/codesPerWord {
+	if len(p.words) != (rows+alphabet.CodesPerWord-1)/alphabet.CodesPerWord {
 		return fmt.Errorf("packed payload %d words for %d rows", len(p.words), rows)
 	}
 	if code := p.code(p.sentPos); code != 0 {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"bwtmatch/internal/alphabet"
 )
 
 func roundTrip(t *testing.T, idx *Index) *Index {
@@ -67,7 +69,7 @@ func TestSerializeRejectsSentinelSlotCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := idx.bwt.sentPos
-	idx.bwt.words[s/codesPerWord] |= 3 << uint((s%codesPerWord)*2)
+	idx.bwt.words[s/alphabet.CodesPerWord] |= 3 << uint((s%alphabet.CodesPerWord)*2)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)

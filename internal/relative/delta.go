@@ -16,46 +16,38 @@ import (
 // occRate is the checkpoint spacing of the exception-character occ
 // tables: one cumulative count per base every occRate exception
 // characters (16 int32s per 64 chars — 0.25 bytes/char of directory).
-// The remainder scan counts whole packed bytes through codeCount (4
-// codes per lookup), so the spacing costs at most occRate/4 table
-// lookups per query, not occRate decodes. Must stay a multiple of 4
-// so checkpoints are byte-aligned in the packed payload.
+// The remainder is counted by alphabet.CountCodes, the 2-bit BWT's
+// popcount kernel, over at most two words.
 const occRate = 64
-
-// codeCount[c][b] is how many of the four 2-bit codes in byte b equal
-// c — the remainder scan's per-byte popcount table.
-var codeCount = func() (t [4][256]uint8) {
-	for b := 0; b < 256; b++ {
-		for s := 0; s < 4; s++ {
-			t[b>>(2*s)&3][b]++
-		}
-	}
-	return
-}()
 
 // ErrCorrupt reports a delta payload that fails structural validation.
 var ErrCorrupt = errors.New("relative: corrupt delta")
 
-// charSeq stores exception characters at 2 bits each. A BWT holds
-// exactly one sentinel, so at most one exception character per side is
-// a sentinel — its index is escaped out of band (sentAt) and the 2-bit
-// codes only ever encode the four proper bases (code = rank-1).
+// charSeq stores exception characters at 2 bits each, 32 per word in
+// alphabet.Packed's layout. A BWT holds exactly one sentinel, so at
+// most one exception character per side is a sentinel — its index is
+// escaped out of band (sentAt) and the 2-bit codes only ever encode
+// the four proper bases (code = rank-1).
 type charSeq struct {
-	packed []byte // four 2-bit codes per byte, little-endian within
+	words  []uint64
 	n      int32
 	sentAt int32 // index whose character is the sentinel, or -1
 }
 
 func newCharSeq(chars []byte) charSeq {
-	s := charSeq{packed: make([]byte, (len(chars)+3)/4), n: int32(len(chars)), sentAt: -1}
+	s := charSeq{
+		words:  make([]uint64, (len(chars)+alphabet.CodesPerWord-1)/alphabet.CodesPerWord),
+		n:      int32(len(chars)),
+		sentAt: -1,
+	}
 	for i, ch := range chars {
-		code := byte(0)
+		code := uint64(0)
 		if ch == alphabet.Sentinel {
 			s.sentAt = int32(i)
 		} else {
-			code = ch - 1
+			code = uint64(ch - 1)
 		}
-		s.packed[i>>2] |= code << ((i & 3) * 2)
+		s.words[i/alphabet.CodesPerWord] |= code << (i % alphabet.CodesPerWord * 2)
 	}
 	return s
 }
@@ -64,12 +56,23 @@ func (s *charSeq) at(i int32) byte {
 	if i == s.sentAt {
 		return alphabet.Sentinel
 	}
-	return s.packed[i>>2]>>((i&3)*2)&3 + 1
+	return byte(s.words[i/alphabet.CodesPerWord]>>(i%alphabet.CodesPerWord*2))&3 + 1
+}
+
+// count returns the occurrences of base rank x among characters
+// [from, to).
+func (s *charSeq) count(x byte, from, to int32) int32 {
+	return alphabet.CountCode(s.words, x-1, from, to, s.sentAt)
+}
+
+// countAll adds the per-base counts of characters [from, to) to cnt.
+func (s *charSeq) countAll(from, to int32, cnt *[alphabet.Bases]int32) {
+	alphabet.CountCodes(s.words, from, to, s.sentAt, cnt)
 }
 
 // sizeBytes is the resident payload (the escape index rides in the
 // struct header).
-func (s *charSeq) sizeBytes() int { return len(s.packed) }
+func (s *charSeq) sizeBytes() int { return len(s.words) * 8 }
 
 // Delta expresses a tenant BWT as an alignment against a base BWT: a
 // common subsequence (rows copied from the base) plus tenant-only
@@ -86,7 +89,7 @@ func (s *charSeq) sizeBytes() int { return len(s.packed) }
 // [0, j) covering the same common rows.
 type Delta struct {
 	TenantIns *bitvec.Rank // tenant rows that are insertions
-	BaseDel   *bitvec.Rank // base rows that are deleted
+	BaseDel   *bitvec.Rank // base rows that are deleted, with select-0 samples
 
 	ins charSeq // characters of insertion rows, tenant order
 	del charSeq // characters of deleted rows, base order
@@ -125,11 +128,31 @@ func (d *Delta) Split(i int32) (tIns, j, jDel int32) {
 	return int32(t), int32(bj), int32(bj - cs)
 }
 
+// SplitFrom returns Split(hi) from the split (tIns, j, ·) of an
+// earlier row lo <= hi without a select from the start of BaseDel: the
+// common rows of [lo, hi) are selected forward from j. That scan grows
+// with the rows it passes, so it suits narrow intervals.
+func (d *Delta) SplitFrom(lo, hi, tIns, j int32) (tIns2, j2, jDel2 int32) {
+	tIns2, j2 = int32(d.TenantIns.Rank1(int(hi))), j
+	if c := hi - lo - (tIns2 - tIns); c > 0 { // common rows in [lo, hi)
+		j2 = int32(d.BaseDel.Select0From(int(j), int(c))) + 1
+	}
+	return tIns2, j2, j2 - (hi - tIns2)
+}
+
 // BaseRow maps a common tenant row i (IsIns(i) must be false) to its
 // base row.
 func (d *Delta) BaseRow(i int32) int32 {
 	cs := int(i) - d.TenantIns.Rank1(int(i)) // common rows strictly before i
 	return int32(d.BaseDel.Select0(cs + 1))
+}
+
+// KeptFrom returns the first kept (not deleted) base row at or after
+// j. For a common tenant row i with Split(i) = (·, j, ·) it is
+// BaseRow(i), found by scanning BaseDel forward from j instead of a
+// second select.
+func (d *Delta) KeptFrom(j int32) int32 {
+	return int32(d.BaseDel.Select0From(int(j), 1))
 }
 
 // InsChar returns the character of the rank-th insertion row (0-based).
@@ -160,47 +183,28 @@ func (d *Delta) OccDelAll(t int32) [alphabet.Bases]int32 {
 	return occAllAt(&d.del, d.delOcc, t)
 }
 
+// InsCountAll adds the per-base counts of insertion chars [from, to)
+// to cnt, counting the range alone, without a checkpoint.
+func (d *Delta) InsCountAll(from, to int32, cnt *[alphabet.Bases]int32) {
+	d.ins.countAll(from, to, cnt)
+}
+
+// DelCountAll adds the per-base counts of deleted chars [from, to) to
+// cnt, counting the range alone, without a checkpoint.
+func (d *Delta) DelCountAll(from, to int32, cnt *[alphabet.Bases]int32) {
+	d.del.countAll(from, to, cnt)
+}
+
 func occAt(s *charSeq, occ []int32, x byte, t int32) int32 {
 	chk := t / occRate
-	code := x - 1
-	cnt := occ[chk*alphabet.Bases+int32(code)]
-	// Whole packed bytes first (the checkpoint is byte-aligned because
-	// occRate is a multiple of 4), then the ragged tail code by code.
-	start := chk * occRate
-	for b := start >> 2; b < t>>2; b++ {
-		cnt += int32(codeCount[code][s.packed[b]])
-	}
-	for i := t &^ 3; i < t; i++ {
-		if s.packed[i>>2]>>((i&3)*2)&3 == code {
-			cnt++
-		}
-	}
-	// The sentinel's slot holds code 0; if it fell inside the scanned
-	// range it was miscounted as base rank 1.
-	if code == 0 && s.sentAt >= start && s.sentAt < t {
-		cnt--
-	}
-	return cnt
+	return occ[chk*alphabet.Bases+int32(x-1)] + s.count(x, chk*occRate, t)
 }
 
 func occAllAt(s *charSeq, occ []int32, t int32) [alphabet.Bases]int32 {
 	chk := t / occRate
 	row := occ[chk*alphabet.Bases : chk*alphabet.Bases+alphabet.Bases]
 	cnt := [alphabet.Bases]int32{row[0], row[1], row[2], row[3]}
-	start := chk * occRate
-	for b := start >> 2; b < t>>2; b++ {
-		pb := s.packed[b]
-		cnt[0] += int32(codeCount[0][pb])
-		cnt[1] += int32(codeCount[1][pb])
-		cnt[2] += int32(codeCount[2][pb])
-		cnt[3] += int32(codeCount[3][pb])
-	}
-	for i := t &^ 3; i < t; i++ {
-		cnt[s.packed[i>>2]>>((i&3)*2)&3]++
-	}
-	if s.sentAt >= start && s.sentAt < t {
-		cnt[0]--
-	}
+	s.countAll(chk*occRate, t, &cnt)
 	return cnt
 }
 
@@ -215,8 +219,8 @@ func (d *Delta) Reads() (base, ins int64) {
 }
 
 // SizeBytes returns the resident delta payload: both marker bitvectors
-// with their rank directories, the packed exception characters, and
-// their occ checkpoints.
+// with their rank directories and BaseDel's select-0 samples, the
+// packed exception characters, and their occ checkpoints.
 func (d *Delta) SizeBytes() int {
 	return d.TenantIns.SizeBytes() + d.BaseDel.SizeBytes() +
 		d.ins.sizeBytes() + d.del.sizeBytes() +
@@ -227,26 +231,21 @@ func (d *Delta) SizeBytes() int {
 // positions (checkpoint k covers s[:k*occRate]).
 func buildOcc(s *charSeq) []int32 {
 	nChk := int(s.n)/occRate + 1
-	occ := make([]int32, nChk*alphabet.Bases)
+	occ := make([]int32, 0, nChk*alphabet.Bases)
 	var running [alphabet.Bases]int32
-	for p := int32(0); p <= s.n; p++ {
-		if p%occRate == 0 {
-			at := int(p) / occRate * alphabet.Bases
-			copy(occ[at:at+alphabet.Bases], running[:])
+	for p := int32(0); ; p += occRate {
+		occ = append(occ, running[:]...)
+		if p+occRate > s.n {
+			return occ
 		}
-		if p < s.n {
-			if ch := s.at(p); ch != alphabet.Sentinel {
-				running[ch-1]++
-			}
-		}
+		s.countAll(p, p+occRate, &running)
 	}
-	return occ
 }
 
 func finishDelta(ins, del *bitvec.Vector, insChars, delChars []byte) *Delta {
 	d := &Delta{
 		TenantIns: bitvec.NewRank(ins),
-		BaseDel:   bitvec.NewRank(del),
+		BaseDel:   bitvec.NewRankSelect0(del),
 		ins:       newCharSeq(insChars),
 		del:       newCharSeq(delChars),
 	}
@@ -311,7 +310,8 @@ func (b *Builder) Finish() *Delta {
 }
 
 // writeSeq serializes one packed char sequence: count, escape index
-// (+1, 0 meaning none), packed codes.
+// (+1, 0 meaning none), packed codes — four per byte, the first
+// ⌈n/4⌉ bytes of the little-endian words.
 func writeSeq(put func(v any) error, s *charSeq) error {
 	if err := put(uint64(s.n)); err != nil {
 		return err
@@ -319,11 +319,16 @@ func writeSeq(put func(v any) error, s *charSeq) error {
 	if err := put(uint64(s.sentAt + 1)); err != nil {
 		return err
 	}
-	return put(s.packed)
+	packed := make([]byte, 0, len(s.words)*8)
+	for _, w := range s.words {
+		packed = binary.LittleEndian.AppendUint64(packed, w)
+	}
+	return put(packed[:(s.n+3)/4])
 }
 
 // WriteTo serializes the delta payload (marker words and packed
-// exception characters; the occ checkpoints are rebuilt on load).
+// exception characters; the occ checkpoints and the select-0 samples
+// are rebuilt on load).
 func (d *Delta) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -370,7 +375,11 @@ func readSeq(br *bufio.Reader, maxChars uint64, side string) (charSeq, error) {
 	if rem := n % 4; rem != 0 && packed[len(packed)-1]>>(rem*2) != 0 {
 		return charSeq{}, fmt.Errorf("%w: stale %s char codes past %d", ErrCorrupt, side, n)
 	}
-	return charSeq{packed: packed, n: int32(n), sentAt: int32(sent) - 1}, nil
+	words := make([]uint64, (n+alphabet.CodesPerWord-1)/alphabet.CodesPerWord)
+	for i, b := range packed {
+		words[i/8] |= uint64(b) << (i % 8 * 8)
+	}
+	return charSeq{words: words, n: int32(n), sentAt: int32(sent) - 1}, nil
 }
 
 // ReadDelta deserializes a delta written by WriteTo and validates it
@@ -426,7 +435,7 @@ func ReadDelta(r io.Reader, tenantRows, baseRows int) (*Delta, error) {
 	}
 
 	ti := bitvec.NewRank(insVec)
-	bd := bitvec.NewRank(delVec)
+	bd := bitvec.NewRankSelect0(delVec)
 	if ti.Ones() != int(ins.n) {
 		return nil, fmt.Errorf("%w: %d insertion chars for %d marked rows", ErrCorrupt, ins.n, ti.Ones())
 	}

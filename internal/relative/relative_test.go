@@ -2,8 +2,12 @@ package relative
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"bwtmatch/internal/alphabet"
 )
 
 // randSeq returns a rank-encoded sequence over ranks 1..4.
@@ -93,57 +97,185 @@ func buildDelta(base, tenant []byte) *Delta {
 	return b.Finish()
 }
 
+// editScript copies base into a tenant with roughly rate-fraction point
+// edits (substitutions, one-row insertions, deletions) plus, when runs
+// is set, a run of 700 deleted rows and a run of 650 inserted rows. It
+// returns the tenant and the alignment its copies make: each copied
+// row as a (base row, tenant row) pair, in increasing order.
+func editScript(rng *rand.Rand, base []byte, rate float64, runs bool) (tenant []byte, pairs [][2]int) {
+	delRun, insRun := -1, -1
+	if runs {
+		delRun, insRun = len(base)/3, 2*len(base)/3
+	}
+	for bi := 0; bi < len(base); bi++ {
+		switch {
+		case bi == delRun:
+			bi += 699
+			continue
+		case bi == insRun:
+			tenant = append(tenant, randSeq(rng, 650)...)
+		}
+		if rng.Float64() < rate {
+			switch rng.Intn(3) {
+			case 0: // substitute
+				tenant = append(tenant, byte(1+rng.Intn(4)))
+				continue
+			case 1: // insert, then copy
+				tenant = append(tenant, byte(1+rng.Intn(4)))
+			case 2: // delete
+				continue
+			}
+		}
+		pairs = append(pairs, [2]int{bi, len(tenant)})
+		tenant = append(tenant, base[bi])
+	}
+	return tenant, pairs
+}
+
+// TestDeltaBridgesRankQueries builds deltas through the Builder and
+// checks, at every tenant row, Split, BaseRow, KeptFrom, the
+// exception characters, OccIns/OccDel(All) and the rank bridge against
+// naive counts over the alignment, and SplitFrom with the range counts
+// for every row pair up to 64 apart. Besides small Myers-aligned
+// blocks it takes deltas of 20,000 rows — enough zeros in BaseDel for
+// many select samples — and one with runs of 700 deleted and 650
+// inserted rows, longer than a rank superblock.
 func TestDeltaBridgesRankQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		base := randSeq(rng, 50+rng.Intn(400))
 		tenant := mutate(rng, base, 0.08)
-		d := buildDelta(base, tenant)
+		var pairs [][2]int
+		Common(base, tenant, 256, func(ai, bi int) { pairs = append(pairs, [2]int{ai, bi}) })
+		checkDelta(t, fmt.Sprintf("myers trial %d", trial), base, tenant, pairs)
+	}
+	for _, tc := range []struct {
+		name      string
+		rate      float64
+		runs      bool
+		sentinels bool
+	}{
+		{"20k rows at 1%", 0.01, false, false},
+		{"20k rows at 8% with sentinels", 0.08, false, true},
+		{"20k rows at 1% with runs", 0.01, true, false},
+	} {
+		base := randSeq(rng, 20000)
+		tenant, pairs := editScript(rng, base, tc.rate, tc.runs)
+		if tc.sentinels {
+			// Turn two copied rows into a deleted base sentinel and an
+			// inserted tenant sentinel, the escaped characters.
+			bp, tp := pairs[5000], pairs[15000]
+			base[bp[0]], tenant[tp[1]] = alphabet.Sentinel, alphabet.Sentinel
+			pairs = slices.DeleteFunc(pairs, func(p [2]int) bool { return p == bp || p == tp })
+		}
+		checkDelta(t, tc.name, base, tenant, pairs)
+	}
+}
 
-		if got := d.TenantRows(); got != len(tenant) {
-			t.Fatalf("TenantRows = %d, want %d", got, len(tenant))
-		}
-		if got := d.BaseRows(); got != len(base) {
-			t.Fatalf("BaseRows = %d, want %d", got, len(base))
-		}
-		baseOcc := func(x byte, j int32) int32 {
-			var c int32
-			for _, ch := range base[:j] {
-				if ch == x {
-					c++
-				}
-			}
-			return c
-		}
-		for i := int32(0); i <= int32(len(tenant)); i++ {
-			tIns, j, jDel := d.Split(i)
-			for x := byte(1); x <= 4; x++ {
-				got := baseOcc(x, j) - d.OccDel(x, jDel) + d.OccIns(x, tIns)
-				var want int32
-				for _, ch := range tenant[:i] {
-					if ch == x {
-						want++
-					}
-				}
-				if got != want {
-					t.Fatalf("trial %d: occ(%d, %d) = %d, want %d", trial, x, i, got, want)
-				}
-				all := d.OccInsAll(tIns)
-				if all[x-1] != d.OccIns(x, tIns) {
-					t.Fatalf("OccInsAll disagrees with OccIns at %d", tIns)
-				}
+// checkDelta builds the delta of an alignment with the Builder and
+// compares every query with naive counts over the alignment.
+func checkDelta(t *testing.T, name string, base, tenant []byte, pairs [][2]int) {
+	t.Helper()
+	b := NewBuilder(base, tenant)
+	baseOf := make([]int, len(tenant)) // base row of each common tenant row, -1 for insertions
+	kept := make([]bool, len(base))
+	for i := range baseOf {
+		baseOf[i] = -1
+	}
+	for _, p := range pairs {
+		b.Match(p[0], p[1])
+		baseOf[p[1]], kept[p[0]] = p[0], true
+	}
+	d := b.Finish()
+	if d.TenantRows() != len(tenant) || d.BaseRows() != len(base) {
+		t.Fatalf("%s: rows %dx%d, want %dx%d", name, d.TenantRows(), d.BaseRows(), len(tenant), len(base))
+	}
+
+	// Naive prefix counts: per-base occurrences in the tenant, the base,
+	// the insertion characters and the deleted characters.
+	prefix := func(seq []byte) [][4]int32 {
+		out := make([][4]int32, len(seq)+1)
+		for i, ch := range seq {
+			out[i+1] = out[i]
+			if ch != alphabet.Sentinel {
+				out[i+1][ch-1]++
 			}
 		}
-		// Row reads: every tenant row must be recoverable.
-		for i := int32(0); i < int32(len(tenant)); i++ {
-			var got byte
-			if d.IsIns(i) {
-				got = d.InsChar(int32(d.TenantIns.Rank1(int(i))))
-			} else {
-				got = base[d.BaseRow(i)]
+		return out
+	}
+	var insChars, delChars []byte
+	insBefore := make([]int32, len(tenant)+1) // insertion rows before tenant row i
+	for i, ch := range tenant {
+		insBefore[i+1] = insBefore[i]
+		if baseOf[i] < 0 {
+			insChars = append(insChars, ch)
+			insBefore[i+1]++
+		}
+	}
+	var keptAt []int32 // base row of each kept row, in order
+	for bi, ch := range base {
+		if kept[bi] {
+			keptAt = append(keptAt, int32(bi))
+		} else {
+			delChars = append(delChars, ch)
+		}
+	}
+	tenOcc, baseOcc, insOcc, delOcc := prefix(tenant), prefix(base), prefix(insChars), prefix(delChars)
+	if d.InsLen() != len(insChars) || d.DelLen() != len(delChars) {
+		t.Fatalf("%s: %d insertions and %d deletions, want %d and %d",
+			name, d.InsLen(), d.DelLen(), len(insChars), len(delChars))
+	}
+	split := func(i int) (tIns, j, jDel int32) {
+		tIns = insBefore[i]
+		cs := int32(i) - tIns
+		if cs > 0 {
+			j = keptAt[cs-1] + 1
+		}
+		return tIns, j, j - cs
+	}
+
+	for i := 0; i <= len(tenant); i++ {
+		tIns, j, jDel := d.Split(int32(i))
+		wt, wj, wd := split(i)
+		if tIns != wt || j != wj || jDel != wd {
+			t.Fatalf("%s: Split(%d) = (%d, %d, %d), want (%d, %d, %d)", name, i, tIns, j, jDel, wt, wj, wd)
+		}
+		if i < len(tenant) {
+			if want := baseOf[i]; want < 0 {
+				if !d.IsIns(int32(i)) || d.InsChar(tIns) != tenant[i] {
+					t.Fatalf("%s: insertion row %d reads %d, want %d", name, i, d.InsChar(tIns), tenant[i])
+				}
+			} else if d.IsIns(int32(i)) || d.BaseRow(int32(i)) != int32(want) || d.KeptFrom(j) != int32(want) {
+				t.Fatalf("%s: common row %d: BaseRow %d, KeptFrom %d, want base row %d",
+					name, i, d.BaseRow(int32(i)), d.KeptFrom(j), want)
 			}
-			if got != tenant[i] {
-				t.Fatalf("trial %d: row %d = %d, want %d", trial, i, got, tenant[i])
+		}
+		insAll, delAll := d.OccInsAll(tIns), d.OccDelAll(jDel)
+		for x := byte(1); x <= 4; x++ {
+			if got, want := d.OccIns(x, tIns), insOcc[tIns][x-1]; got != want || insAll[x-1] != want {
+				t.Fatalf("%s: OccIns(%d, %d) = %d, OccInsAll %d, want %d", name, x, tIns, got, insAll[x-1], want)
+			}
+			if got, want := d.OccDel(x, jDel), delOcc[jDel][x-1]; got != want || delAll[x-1] != want {
+				t.Fatalf("%s: OccDel(%d, %d) = %d, OccDelAll %d, want %d", name, x, jDel, got, delAll[x-1], want)
+			}
+			if got, want := baseOcc[j][x-1]-d.OccDel(x, jDel)+d.OccIns(x, tIns), tenOcc[i][x-1]; got != want {
+				t.Fatalf("%s: bridged occ(%d, %d) = %d, want %d", name, x, i, got, want)
+			}
+		}
+		for h := i; h <= min(len(tenant), i+64); h++ {
+			tIns2, j2, jDel2 := d.SplitFrom(int32(i), int32(h), tIns, j)
+			wt, wj, wd := split(h)
+			if tIns2 != wt || j2 != wj || jDel2 != wd {
+				t.Fatalf("%s: SplitFrom(%d, %d) = (%d, %d, %d), want Split(%d) = (%d, %d, %d)",
+					name, i, h, tIns2, j2, jDel2, h, wt, wj, wd)
+			}
+			var ins, del [4]int32
+			d.InsCountAll(tIns, tIns2, &ins)
+			d.DelCountAll(jDel, jDel2, &del)
+			for x := range ins {
+				if ins[x] != insOcc[tIns2][x]-insOcc[tIns][x] || del[x] != delOcc[jDel2][x]-delOcc[jDel][x] {
+					t.Fatalf("%s: range counts over rows [%d, %d): ins %v del %v", name, i, h, ins, del)
+				}
 			}
 		}
 	}

@@ -6,7 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"bwtmatch/internal/alphabet"
+	"bwtmatch/internal/naive"
 )
 
 // mutateDNA applies roughly rate-fraction point edits (substitution,
@@ -210,6 +214,65 @@ func TestRelativeSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadRelativeFile(tenPath, other); !errors.Is(err, ErrFormat) {
 		t.Fatalf("wrong base: got %v, want ErrFormat", err)
+	}
+}
+
+// TestRelativeFixtureLoad loads a base index and a tenant container
+// written by an earlier writer (testdata/README.md). The tenant must
+// rebuild its target, answer the four BWT-path methods exactly as the
+// naive oracle does, and save back to the fixture's bytes: the delta's
+// serialized layout, exception characters included, has not moved.
+func TestRelativeFixtureLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(17)) // the fixtures' inputs
+	baseText := randomDNA(rng, 4000)
+	tenText := append(mutateDNA(rng, baseText, 0.02), "gattaca"...)
+	text, _ := alphabet.Encode(tenText)
+
+	base, err := LoadFile(filepath.Join("testdata", "relative_base.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "relative_tenant.rel")
+	rel, err := LoadRelativeFile(path, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rel.targetText(), text) {
+		t.Fatal("tenant fixture rebuilds a different target")
+	}
+	for q := 0; q < 40; q++ {
+		m, k := 8+rng.Intn(20), rng.Intn(4)
+		p := rng.Intn(len(tenText) - m)
+		pattern := append([]byte(nil), tenText[p:p+m]...)
+		for f := 0; f < k; f++ {
+			pattern[rng.Intn(m)] = "acgt"[rng.Intn(4)]
+		}
+		pr, _ := alphabet.Encode(pattern)
+		var want []Match
+		for _, pos := range naive.Find(text, pr, k) {
+			want = append(want, Match{Pos: int(pos), Mismatches: naive.Hamming(text[pos:int(pos)+m], pr, m)})
+		}
+		for _, method := range bwtMethods {
+			got, _, err := SearchMethod(rel, pattern, k, method)
+			if err != nil {
+				t.Fatalf("%v: %v", method, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v (m=%d k=%d): got %v, want %v", method, m, k, got, want)
+			}
+		}
+	}
+
+	fixture, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := rel.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), fixture) {
+		t.Fatalf("re-saved tenant is %d bytes and differs from the %d-byte fixture", saved.Len(), len(fixture))
 	}
 }
 
