@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test perfbench-test race race-server vet kmvet lint lint-report invariants fuzz-smoke bench-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
+.PHONY: build test perfbench-test race race-server fmt-check vet kmvet lint lint-report invariants fuzz-smoke bench-smoke obs-smoke benchdiff-smoke shard-smoke build-smoke cluster-smoke trace-smoke relative-smoke check bench bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# gofmt gate: lists every Go file gofmt would rewrite and fails when
+# there is any.
+fmt-check:
+	@files=$$(gofmt -l .); \
+	if [ -n "$$files" ]; then echo "fmt-check: gofmt would rewrite:"; echo "$$files"; exit 1; fi
+
 # kmvet is the repo-specific analyzer (cmd/kmvet, DESIGN.md §6): the
 # per-function rules (load-path error wrapping, lock copies, no library
 # panics, no stdlib log) plus the call-graph-aware concurrency rules
@@ -35,7 +41,7 @@ vet:
 kmvet:
 	$(GO) run ./cmd/kmvet
 
-lint: vet kmvet
+lint: fmt-check vet kmvet
 
 # Machine-readable lint artifact for CI (schema pinned by
 # internal/analyze/json_test.go). Written even when findings exist so

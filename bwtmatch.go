@@ -86,8 +86,12 @@ type Match struct {
 type Stats struct {
 	// MTreeLeaves is the paper's n′ (Table 2) for AlgorithmA/BWTBaseline.
 	MTreeLeaves int
-	// StepCalls counts the BWT rank operations of the traversal. It
-	// excludes the φ bound's occurrence tests, which PhiSteps counts.
+	// StepCalls counts the BWT rank operations of the traversal: one per
+	// expanded S-tree node, whether it stepped all four characters or,
+	// with no mismatch left, only the pattern's own. A one-row node that
+	// read a mismatching character with no mismatch left skips its rank
+	// query and still counts one. It excludes the φ bound's occurrence
+	// tests, which PhiSteps counts.
 	StepCalls int
 	// PhiSteps counts the BWT rank operations spent computing the φ(i)
 	// bound (AlgorithmA and BWTBaseline; zero for the other methods).

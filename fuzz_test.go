@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bwtmatch/internal/alphabet"
@@ -22,6 +23,23 @@ func FuzzSearchMethods(f *testing.F) {
 	f.Add([]byte("ccacacagaagcc"), []byte("aaaaacaaac"), byte(4))
 	f.Add([]byte("aaaaaaaa"), []byte("ttt"), byte(1))
 	f.Add([]byte("acgtacgtacgt"), []byte("acgt"), byte(0))
+	// A target rich in homopolymers and tandem repeats keeps intervals of
+	// 64 rows and more (the memo's structuredMin) tens of characters
+	// deep, so the walk also reaches exploreFresh, smallWalk and
+	// singletonWalk with no mismatch left to spend.
+	repeats := "ttgacc" + strings.Repeat("a", 60) + "c" + strings.Repeat("a", 50) + "gtc" +
+		strings.Repeat("ac", 60) + "tga" + strings.Repeat("cag", 30) + "gg" +
+		strings.Repeat("a", 40) + "cttag" + strings.Repeat("ac", 20)
+	for _, p := range []string{
+		strings.Repeat("a", 25) + "c" + strings.Repeat("a", 8),
+		strings.Repeat("ac", 12) + "g" + strings.Repeat("ac", 5),
+		strings.Repeat("cag", 8) + "t",
+		"gtc" + strings.Repeat("ac", 9) + "tgacag",
+	} {
+		for k := byte(0); k <= 2; k++ {
+			f.Add([]byte(repeats), []byte(p), k)
+		}
+	}
 	f.Fuzz(func(t *testing.T, target, pattern []byte, k8 byte) {
 		if len(target) == 0 || len(target) > 2000 {
 			return

@@ -248,11 +248,16 @@ func (a *asearch) smallWalk(iv fmindex.Interval, j, brem, e int) {
 		a.leafTerm() // φ-pruned path terminal
 		return
 	}
+	if brem == 0 {
+		a.exactWalk(iv, j, e)
+		return
+	}
+	// Every child is affordable, and a multi-row interval holds at most
+	// one sentinel row, so at least one child is non-empty.
 	var kids [alphabet.Bases]fmindex.Interval
 	a.s.idx.StepAll(iv, &kids)
 	a.stats.StepCalls++
 	a.stats.Nodes++
-	progressed := false
 	for x := byte(alphabet.A); x <= alphabet.T; x++ {
 		civ := kids[x-1]
 		if civ.Empty() {
@@ -262,18 +267,37 @@ func (a *asearch) smallWalk(iv fmindex.Interval, j, brem, e int) {
 		if x != a.r[j] {
 			cost = 1
 		}
-		if brem-cost < 0 {
-			continue
-		}
-		progressed = true
 		if civ.Len() == 1 {
 			a.singletonWalk(civ, j+1, brem-cost, e+cost)
 		} else {
 			a.smallWalk(civ, j+1, brem-cost, e+cost)
 		}
 	}
-	if !progressed {
-		a.leafTerm()
+}
+
+// exactWalk continues a multi-row interval whose path has no mismatch
+// left to spend. Its only possible child is the pattern's own
+// character, so each level is one Step instead of a StepAll — a plain
+// exact backward search — and counts one node and one step, as the
+// StepAll it replaces did. The caller has checked j < m and φ[j] = 0;
+// φ never increases along the pattern, so no later level is φ-cut.
+func (a *asearch) exactWalk(iv fmindex.Interval, j, e int) {
+	for {
+		iv = a.s.idx.Step(a.r[j], iv)
+		a.stats.StepCalls++
+		a.stats.Nodes++
+		j++
+		switch {
+		case iv.Empty():
+			a.leafTerm() // dead end
+			return
+		case iv.Len() == 1:
+			a.singletonWalk(iv, j, 0, e)
+			return
+		case j == a.m:
+			a.emit(iv, e, false)
+			return
+		}
 	}
 }
 
@@ -291,18 +315,20 @@ func (a *asearch) singletonWalk(iv fmindex.Interval, j, brem, e int) {
 			a.leafTerm() // φ-pruned path terminal
 			return
 		}
-		x, child, ok := a.s.idx.StepSingleton(iv)
+		// With no mismatch left only r[j] continues the path: the index
+		// skips the rank query when the row holds another character.
+		want := fmindex.AnyBase
+		if brem == 0 {
+			want = a.r[j]
+		}
+		x, child, ok := a.s.idx.StepSingletonIf(iv, want)
 		a.stats.StepCalls++
 		a.stats.Nodes++
 		if !ok {
-			a.leafTerm() // ran into the text start
+			a.leafTerm() // the text start, or a mismatch with no budget left
 			return
 		}
 		if x != a.r[j] {
-			if brem == 0 {
-				a.leafTerm()
-				return
-			}
 			brem--
 			e++
 		}
@@ -345,10 +371,15 @@ func (a *asearch) exploreFresh(iv fmindex.Interval, j, brem, e int) int32 {
 			a.leafTerm() // φ-pruned path terminal
 			break
 		}
-		a.s.idx.StepAll(cur, &kids)
 		a.stats.StepCalls++
 		a.stats.Nodes++
-		if brem > 0 {
+		var matchIv fmindex.Interval
+		if brem == 0 {
+			// No mismatch left to spend: the match child is the only one.
+			matchIv = a.s.idx.Step(a.r[t], cur)
+		} else {
+			a.s.idx.StepAll(cur, &kids)
+			matchIv = kids[a.r[t]-1]
 			for x := byte(alphabet.A); x <= alphabet.T; x++ {
 				civ := kids[x-1]
 				if x == a.r[t] || civ.Empty() {
@@ -377,7 +408,6 @@ func (a *asearch) exploreFresh(iv fmindex.Interval, j, brem, e int) int32 {
 				lastBranch = bi
 			}
 		}
-		matchIv := kids[a.r[t]-1]
 		if matchIv.Empty() {
 			end = endDead
 			break

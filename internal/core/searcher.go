@@ -80,8 +80,12 @@ type Match struct {
 type Stats struct {
 	// Nodes is the number of S-tree nodes expanded by live search.
 	Nodes int
-	// StepCalls is the number of BWT rank steps the traversal spent. It
-	// excludes φ's occurrence tests, which PhiSteps counts.
+	// StepCalls is the number of BWT rank steps the traversal spent: a
+	// StepAll, a Step (a node with no mismatch left steps only the
+	// pattern's character) or a one-row step each, plus the re-steps of
+	// runIvAt. A one-row step at zero budget whose row holds another
+	// character skips its rank query and still counts one. It excludes
+	// φ's occurrence tests, which PhiSteps counts.
 	StepCalls int
 	// PhiSteps is the number of rank steps spent computing the φ bound
 	// (the MatchLen probes of computePhi); zero when φ is off.

@@ -299,12 +299,26 @@ func (idx *Index) StepAll(iv Interval, out *[alphabet.Bases]Interval) {
 // character and the child interval; ok is false when the row's
 // continuation is the sentinel (the text start was reached).
 func (idx *Index) StepSingleton(iv Interval) (x byte, child Interval, ok bool) {
+	return idx.StepSingletonIf(iv, AnyBase)
+}
+
+// AnyBase, passed as StepSingletonIf's want, accepts whichever base the
+// row holds. It is the sentinel's rank, which never continues a walk.
+const AnyBase byte = alphabet.Sentinel
+
+// StepSingletonIf is StepSingleton for a walk that can continue only
+// with the base want (or with any base, for AnyBase): it reads the
+// row's character x and answers the rank query for the child only when
+// x is wanted, so a row that cannot continue costs one character read.
+// ok is false at the sentinel row and when x is not wanted; x is the
+// row's character either way (0 for the sentinel).
+func (idx *Index) StepSingletonIf(iv Interval, want byte) (x byte, child Interval, ok bool) {
 	if idx.rel != nil {
-		return idx.relStepSingleton(iv.Lo)
+		return idx.relStepSingleton(iv.Lo, want)
 	}
 	x = idx.bwt.get(iv.Lo)
-	if x == alphabet.Sentinel {
-		return 0, Interval{}, false
+	if x == alphabet.Sentinel || want != AnyBase && x != want {
+		return x, Interval{}, false
 	}
 	lo := idx.c[x] + idx.flatOccAt(x, iv.Lo)
 	return x, Interval{lo, lo + 1}, true
@@ -398,7 +412,7 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 // bwt[row] to the suffix of row.
 func (idx *Index) lfStep(row int32) int32 {
 	if idx.rel != nil {
-		_, child, _ := idx.relStepSingleton(row) // the sentinel's child is row 0
+		_, child, _ := idx.relStepSingleton(row, AnyBase) // the sentinel's child is row 0
 		return child.Lo
 	}
 	x := idx.bwt.get(row)

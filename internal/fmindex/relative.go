@@ -97,12 +97,13 @@ func (idx *Index) relStepAll(iv Interval, out *[alphabet.Bases]Interval) {
 	}
 }
 
-// relStepSingleton is StepSingleton (and the LF step) on a tenant row
-// i with one Split: it gives the rank of an insertion row among the
+// relStepSingleton is StepSingletonIf (and the LF step) on a tenant
+// row i with one Split: it gives the rank of an insertion row among the
 // insertions, the base row of a common row (the first kept row at or
-// after j), and the base rank query for the child. Like relBWTAt it
-// counts the character read once.
-func (idx *Index) relStepSingleton(i int32) (x byte, child Interval, ok bool) {
+// after j), and the base rank query for the child, which is skipped
+// when the row's character is not wanted. Like relBWTAt it counts the
+// character read once.
+func (idx *Index) relStepSingleton(i int32, want byte) (x byte, child Interval, ok bool) {
 	d := idx.rel
 	tIns, j, jDel := d.Split(i)
 	if d.IsIns(i) {
@@ -112,8 +113,8 @@ func (idx *Index) relStepSingleton(i int32) (x byte, child Interval, ok bool) {
 		d.NoteBaseRead()
 		x = idx.relBase.bwt.get(d.KeptFrom(j))
 	}
-	if x == alphabet.Sentinel {
-		return 0, Interval{}, false
+	if x == alphabet.Sentinel || want != AnyBase && x != want {
+		return x, Interval{}, false
 	}
 	lo := idx.c[x] + idx.relBase.flatOccAt(x, j) - d.OccDel(x, jDel) + d.OccIns(x, tIns)
 	return x, Interval{lo, lo + 1}, true

@@ -120,6 +120,23 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 				t.Fatalf("trial %d: StepSingleton(%d): relative (%d, %v, %v), standalone (%d, %v, %v)",
 					trial, lo, gx, gc, gok, wx, wc, wok)
 			}
+			// StepSingletonIf agrees with the standalone index for every
+			// wanted base and reads the row's character exactly once,
+			// also when it skips the rank query.
+			for want := byte(alphabet.A); want <= alphabet.T; want++ {
+				b0, i0 := rel.RelDelta().Reads()
+				rx, rc, rok := rel.StepSingletonIf(Interval{lo, lo + 1}, want)
+				b1, i1 := rel.RelDelta().Reads()
+				if reads := b1 - b0 + i1 - i0; reads != 1 {
+					t.Fatalf("trial %d: StepSingletonIf(%d, %d) read %d characters", trial, lo, want, reads)
+				}
+				sx, sc, sok := tenant.StepSingletonIf(Interval{lo, lo + 1}, want)
+				if rx != sx || rc != sc || rok != sok {
+					t.Fatalf("trial %d: StepSingletonIf(%d, %d): relative (%d, %v, %v), standalone (%d, %v, %v)",
+						trial, lo, want, rx, rc, rok, sx, sc, sok)
+				}
+			}
+			checkStepSingletonIf(t, rel, lo, gx, gc, gok)
 			if got, want := rel.lfStep(lo), tenant.lfStep(lo); got != want {
 				t.Fatalf("trial %d: lfStep(%d): relative %d, standalone %d", trial, lo, got, want)
 			}

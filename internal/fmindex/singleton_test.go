@@ -38,6 +38,32 @@ func TestStepSingletonAgainstStepAll(t *testing.T) {
 		if nonEmpty > 1 {
 			t.Fatalf("row %d: singleton interval with %d continuations", row, nonEmpty)
 		}
+		checkStepSingletonIf(t, idx, row, x, child, ok)
+	}
+}
+
+// checkStepSingletonIf checks StepSingletonIf on row for every base
+// and for AnyBase against StepSingleton's answer (x, child, ok): it
+// reports the row's character, and the child exactly when that
+// character is the wanted base — never at the sentinel row.
+func checkStepSingletonIf(t *testing.T, idx *Index, row int32, x byte, child Interval, ok bool) {
+	t.Helper()
+	iv := Interval{row, row + 1}
+	for want := byte(alphabet.A); want <= alphabet.T; want++ {
+		gx, gc, gok := idx.StepSingletonIf(iv, want)
+		if gx != x {
+			t.Fatalf("row %d want %d: StepSingletonIf read %d, StepSingleton %d", row, want, gx, x)
+		}
+		if gok != (ok && x == want) {
+			t.Fatalf("row %d (char %d) want %d: ok = %v", row, x, want, gok)
+		}
+		if gok && gc != child {
+			t.Fatalf("row %d want %d: child %v, StepSingleton %v", row, want, gc, child)
+		}
+	}
+	if gx, gc, gok := idx.StepSingletonIf(iv, AnyBase); gx != x || gc != child || gok != ok {
+		t.Fatalf("row %d: StepSingletonIf(AnyBase) = (%d, %v, %v), StepSingleton (%d, %v, %v)",
+			row, gx, gc, gok, x, child, ok)
 	}
 }
 
