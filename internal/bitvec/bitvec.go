@@ -3,10 +3,8 @@
 // The rank structure is the classic one-level sampled scheme: a cumulative
 // popcount is stored every 512 bits (8 words) and ranks inside a block are
 // completed with hardware popcounts. Select binary-searches those
-// checkpoints and finishes inside one word with a broadword select; a
-// vector built by NewRankSelect0 also samples every 512th zero, so
-// Select0 searches only the superblocks between two samples. This is the
-// "manual bit tricks" substrate for the FM-index occ tables, the
+// checkpoints and finishes inside one word with a broadword select.
+// This is the "manual bit tricks" substrate for the FM-index occ tables, the
 // relative index's marker vectors and the wavelet tree.
 package bitvec
 
@@ -77,19 +75,12 @@ func FromWords(words []uint64, n int) *Vector {
 // blockWords is the number of 64-bit words per rank superblock (512 bits).
 const blockWords = 8
 
-// zeroSampleRate is the spacing of the select-0 sample directory: the
-// position of every zeroSampleRate-th 0-bit is stored.
-const zeroSampleRate = 512
-
 // Rank supports O(1) rank and O(log n)-ish select queries over an immutable
 // bit sequence.
 type Rank struct {
 	v      *Vector
 	blocks []uint32 // cumulative popcount before each superblock
 	ones   int
-	// zeroSamples[s] is the position of the (s*zeroSampleRate+1)-th
-	// 0-bit; nil unless built by NewRankSelect0.
-	zeroSamples []uint32
 }
 
 // NewRank freezes v (which must not be modified afterwards) and builds the
@@ -109,21 +100,6 @@ func NewRank(v *Vector) *Rank {
 	return r
 }
 
-// NewRankSelect0 is NewRank plus a select-0 sample directory: the
-// position of every 512th 0-bit, 4 bytes per 512 zeros. With it, Select0
-// reads one sample and searches only the superblocks up to the next
-// one, instead of all of them.
-func NewRankSelect0(v *Vector) *Rank {
-	r := NewRank(v)
-	zeros := r.v.n - r.ones
-	samples := make([]uint32, 0, (zeros+zeroSampleRate-1)/zeroSampleRate)
-	for j := 1; j <= zeros; j += zeroSampleRate {
-		samples = append(samples, uint32(r.Select0(j)))
-	}
-	r.zeroSamples = samples
-	return r
-}
-
 // Len returns the number of bits.
 func (r *Rank) Len() int { return r.v.n }
 
@@ -138,21 +114,33 @@ func (r *Rank) Get(i int) bool { return r.v.Get(i) }
 func (r *Rank) Words() []uint64 { return r.v.words }
 
 // SizeBytes returns the resident size: bit payload plus the rank
-// directory and any select-0 samples.
+// directory.
 func (r *Rank) SizeBytes() int {
-	return len(r.v.words)*8 + len(r.blocks)*4 + len(r.zeroSamples)*4
+	return len(r.v.words)*8 + len(r.blocks)*4
 }
 
 // Rank1 returns the number of 1-bits in positions [0, i). Rank1(Len()) is
 // the total popcount.
 func (r *Rank) Rank1(i int) int {
+	return int(r.blocks[i/SuperblockBits]) + r.v.RankInSuperblock(i)
+}
+
+// SuperblockBits is the spacing of Rank's directory: one cumulative
+// popcount per 512 bits.
+const SuperblockBits = blockWords * 64
+
+// RankInSuperblock returns the number of 1-bits in positions
+// [i - i%SuperblockBits, i): what a rank query adds to its superblock's
+// checkpoint. A directory kept outside Rank, with one count per
+// SuperblockBits, completes its ranks with it.
+func (v *Vector) RankInSuperblock(i int) int {
 	word := i >> 6
-	c := int(r.blocks[word/blockWords])
+	c := 0
 	for w := word - word%blockWords; w < word; w++ {
-		c += bits.OnesCount64(r.v.words[w])
+		c += bits.OnesCount64(v.words[w])
 	}
 	if i&63 != 0 {
-		c += bits.OnesCount64(r.v.words[word] << uint(64-i&63) >> uint(64-i&63))
+		c += bits.OnesCount64(v.words[word] << uint(64-i&63))
 	}
 	return c
 }
@@ -196,17 +184,8 @@ func (r *Rank) Select0(j int) int {
 	// Binary search over superblocks on the complement count (zeros
 	// before superblock i = i*512 - ones before it), then scan words.
 	// Padding zeros past Len() in the final word cannot be selected:
-	// j <= zeros, and every real zero precedes the padding bits. The
-	// j-th zero lies between the samples of the zeros numbered
-	// s*512+1 and (s+1)*512+1, so with samples the search covers only
-	// their superblocks — usually one or two.
+	// j <= zeros, and every real zero precedes the padding bits.
 	lo, hi := 0, len(r.blocks)-1
-	if s := (j - 1) / zeroSampleRate; s < len(r.zeroSamples) {
-		lo = int(r.zeroSamples[s]) / (blockWords * 64)
-		if s+1 < len(r.zeroSamples) {
-			hi = int(r.zeroSamples[s+1]) / (blockWords * 64)
-		}
-	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		if mid*blockWords*64-int(r.blocks[mid]) < j {
@@ -226,18 +205,22 @@ func (r *Rank) Select0(j int) int {
 	return -1
 }
 
+// select0ScanWords bounds Select0From's forward scan: 16 words, 1,024
+// positions, past superblock boundaries.
+const select0ScanWords = 16
+
 // Select0From returns the position of the c-th 0-bit at or after
 // position p (c >= 1), or -1 if there is none: Select0(Rank0(p)+c)
-// without the rank. It scans forward to the end of p's superblock and
-// hands the rest to Select0, so a long run of ones costs one sampled
-// select, not a scan.
+// without the rank. It scans up to select0ScanWords words forward and
+// hands the rest to Select0, so a long run of ones costs one select,
+// not a scan.
 func (r *Rank) Select0From(p, c int) int {
 	if p < 0 || p >= r.v.n {
 		return -1
 	}
 	w := p >> 6
 	word := ^r.v.words[w] &^ (1<<uint(p&63) - 1) // zeros at or after p
-	end := min(w-w%blockWords+blockWords, len(r.v.words))
+	end := min(w+select0ScanWords, len(r.v.words))
 	for {
 		z := bits.OnesCount64(word)
 		if c <= z {
@@ -255,8 +238,7 @@ func (r *Rank) Select0From(p, c int) int {
 	if w == len(r.v.words) {
 		return -1
 	}
-	// w starts a superblock: the zeros before it are its complement count.
-	return r.Select0(w*64 - int(r.blocks[w/blockWords]) + c)
+	return r.Select0(r.Rank0(w*64) + c)
 }
 
 // selectInByte[r<<8|b] is the position (0..7) of the (r+1)-th set bit

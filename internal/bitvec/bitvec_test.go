@@ -124,12 +124,11 @@ func runVector(n, onesRun, zerosRun int) *Vector {
 	return v
 }
 
-// TestSelect0AgainstScan checks Select0, with and without the sample
-// directory, and Select0From against the zero positions a scan finds.
-// The shapes give well over 512 zeros, lengths off a multiple of 64,
-// and runs of ones longer than a word and longer than the gap between
-// two samples, so a sample off by one zero or a scan that stops at the
-// wrong superblock shows here.
+// TestSelect0AgainstScan checks Select0 and Select0From against the
+// zero positions a scan finds. The shapes give well over 512 zeros,
+// lengths off a multiple of 64, and runs of ones longer than a word
+// and longer than Select0From's 16-word scan, so a scan that stops at
+// the wrong word or a fallback that selects the wrong zero shows here.
 func TestSelect0AgainstScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct {
@@ -158,32 +157,28 @@ func TestSelect0AgainstScan(t *testing.T) {
 			}
 			zerosBefore = append(zerosBefore, len(zeroAt))
 		}
-		for _, r := range []*Rank{NewRank(v), NewRankSelect0(v)} {
-			for j, want := range zeroAt {
-				if got := r.Select0(j + 1); got != want {
-					t.Fatalf("%s samples=%v: Select0(%d) = %d, want %d", sh.name, r.zeroSamples != nil, j+1, got, want)
-				}
-			}
-			if got := r.Select0(len(zeroAt) + 1); got != -1 {
-				t.Fatalf("%s: Select0(zeros+1) = %d, want -1", sh.name, got)
-			}
-			for p := 0; p < n; p++ {
-				for _, c := range []int{1, 2, 63, 64, 65, 600} {
-					want := -1
-					if k := zerosBefore[p] + c - 1; k < len(zeroAt) {
-						want = zeroAt[k]
-					}
-					if got := r.Select0From(p, c); got != want {
-						t.Fatalf("%s: Select0From(%d, %d) = %d, want %d", sh.name, p, c, got, want)
-					}
-				}
-			}
-			if got := r.Select0From(n, 1); got != -1 {
-				t.Fatalf("%s: Select0From(len, 1) = %d, want -1", sh.name, got)
+		r := NewRank(v)
+		for j, want := range zeroAt {
+			if got := r.Select0(j + 1); got != want {
+				t.Fatalf("%s: Select0(%d) = %d, want %d", sh.name, j+1, got, want)
 			}
 		}
-		if r := NewRankSelect0(v); len(r.zeroSamples) != (len(zeroAt)+511)/512 {
-			t.Fatalf("%s: %d samples for %d zeros", sh.name, len(r.zeroSamples), len(zeroAt))
+		if got := r.Select0(len(zeroAt) + 1); got != -1 {
+			t.Fatalf("%s: Select0(zeros+1) = %d, want -1", sh.name, got)
+		}
+		for p := 0; p < n; p++ {
+			for _, c := range []int{1, 2, 63, 64, 65, 600, 1100} {
+				want := -1
+				if k := zerosBefore[p] + c - 1; k < len(zeroAt) {
+					want = zeroAt[k]
+				}
+				if got := r.Select0From(p, c); got != want {
+					t.Fatalf("%s: Select0From(%d, %d) = %d, want %d", sh.name, p, c, got, want)
+				}
+			}
+		}
+		if got := r.Select0From(n, 1); got != -1 {
+			t.Fatalf("%s: Select0From(len, 1) = %d, want -1", sh.name, got)
 		}
 	}
 }
@@ -332,11 +327,10 @@ func BenchmarkSelect1(b *testing.B) {
 }
 
 // BenchmarkSelect0 selects zeros of a vector one tenth ones, the
-// density of a 1% tenant's deleted base rows, through the sample
-// directory.
+// density of a 1% tenant's deleted base rows.
 func BenchmarkSelect0(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	r := NewRankSelect0(randomVector(rng, 1<<20, 0.1))
+	r := NewRank(randomVector(rng, 1<<20, 0.1))
 	zeros := r.Len() - r.Ones()
 	for i := 0; b.Loop(); i++ {
 		r.Select0(i%zeros + 1)

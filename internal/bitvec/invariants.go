@@ -21,8 +21,6 @@ const InvariantsEnabled = true
 //   - the cached total equals the true popcount
 //   - bits at positions >= Len() are all zero (no stale tail garbage)
 //   - Rank1(i) equals a bit-by-bit running count at sampled positions
-//   - each select-0 sample is the position of its zero by a scan, and
-//     there is one sample per 512 zeros (when the directory exists)
 //   - Select1/Select0 round-trip through Rank1/Rank0 at sampled j
 func (r *Rank) CheckInvariants() error {
 	n := r.v.n
@@ -70,18 +68,10 @@ func (r *Rank) CheckInvariants() error {
 		}
 		if r.v.Get(i) {
 			run++
-		} else if z := i - run; r.zeroSamples != nil && z%zeroSampleRate == 0 {
-			// i is the (z+1)-th zero, which sample z/zeroSampleRate holds.
-			if s := z / zeroSampleRate; s >= len(r.zeroSamples) || int(r.zeroSamples[s]) != i {
-				return fmt.Errorf("bitvec: select-0 sample %d is not zero %d at position %d", s, z+1, i)
-			}
 		}
 	}
 	if got := r.Rank1(n); got != run {
 		return fmt.Errorf("bitvec: Rank1(len) = %d, want %d", got, run)
-	}
-	if want := (n - run + zeroSampleRate - 1) / zeroSampleRate; r.zeroSamples != nil && len(r.zeroSamples) != want {
-		return fmt.Errorf("bitvec: %d select-0 samples for %d zeros, want %d", len(r.zeroSamples), n-run, want)
 	}
 
 	// Select round-trips: the j-th 1 must be a set bit with exactly j-1

@@ -20,7 +20,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 				v.Set(i)
 			}
 		}
-		return NewRankSelect0(v)
+		return NewRank(v)
 	}
 
 	cases := []struct {
@@ -33,8 +33,6 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"payload bit flip", func(r *Rank) { r.v.words[3] ^= 1 << 17 }, ""},
 		{"stale tail bit", func(r *Rank) { r.v.words[len(r.v.words)-1] |= 1 << 63 }, ""},
 		{"truncated blocks", func(r *Rank) { r.blocks = r.blocks[:len(r.blocks)-1] }, ""},
-		{"select-0 sample", func(r *Rank) { r.zeroSamples[1]++ }, "select-0 sample 1 "},
-		{"missing select-0 sample", func(r *Rank) { r.zeroSamples = r.zeroSamples[:1] }, "select-0 sample 1 "},
 	}
 	for _, tc := range cases {
 		r := build()

@@ -20,9 +20,6 @@ func TestCheckInvariants(t *testing.T) {
 		if err := NewRank(v).CheckInvariants(); err != nil {
 			t.Errorf("random n=%d: %v", n, err)
 		}
-		if err := NewRankSelect0(v).CheckInvariants(); err != nil {
-			t.Errorf("random n=%d with select-0 samples: %v", n, err)
-		}
 
 		ones := New(n)
 		for i := 0; i < n; i++ {
@@ -33,9 +30,6 @@ func TestCheckInvariants(t *testing.T) {
 		}
 		if err := NewRank(New(n)).CheckInvariants(); err != nil {
 			t.Errorf("all-zeros n=%d: %v", n, err)
-		}
-		if err := NewRankSelect0(New(n)).CheckInvariants(); err != nil {
-			t.Errorf("all-zeros n=%d with select-0 samples: %v", n, err)
 		}
 	}
 

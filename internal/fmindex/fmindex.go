@@ -252,10 +252,7 @@ func (idx *Index) occAt(x byte, p int32) int32 {
 	if idx.rel != nil {
 		return idx.relOccAt(x, p)
 	}
-	// flatOccAt's body, repeated: a call here would add one to every
-	// rank step of Step and MatchLen.
-	row, from := idx.checkpoint(p)
-	return idx.occ[row*alphabet.Bases+int32(x-1)] + idx.bwt.count(x, from, p)
+	return idx.flatOccAt(x, p)
 }
 
 // flatOccAt is occAt on a standalone index: one checkpoint row plus
@@ -270,9 +267,11 @@ func (idx *Index) flatOccAt(x byte, p int32) int32 {
 // suffixes start with x·w. It is the paper's search(x, L⟨...⟩) in absolute
 // interval form. An empty result means x·w does not occur.
 func (idx *Index) Step(x byte, iv Interval) Interval {
-	lo := idx.c[x] + idx.occAt(x, iv.Lo)
-	hi := idx.c[x] + idx.occAt(x, iv.Hi)
-	return Interval{lo, hi}
+	if idx.rel != nil {
+		return idx.relStep(x, iv)
+	}
+	c := idx.c[x]
+	return Interval{c + idx.flatOccAt(x, iv.Lo), c + idx.flatOccAt(x, iv.Hi)}
 }
 
 // StepAll performs the backward-search step for all four bases at once,
@@ -383,6 +382,9 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 	if len(p) == 0 {
 		return 0, 0
 	}
+	if idx.rel != nil {
+		return idx.relMatchLen(p)
+	}
 	x := p[0]
 	lo, hi := idx.c[x], idx.c[x+1]
 	steps = 1
@@ -393,14 +395,14 @@ func (idx *Index) MatchLen(p []byte) (matched, steps int) {
 		x = p[q]
 		steps++
 		if hi == lo+1 {
-			if idx.bwtAt(lo) != x {
+			if idx.bwt.get(lo) != x {
 				return q, steps
 			}
-			lo = idx.c[x] + idx.occAt(x, lo)
+			lo = idx.c[x] + idx.flatOccAt(x, lo)
 			hi = lo + 1
 			continue
 		}
-		lo, hi = idx.c[x]+idx.occAt(x, lo), idx.c[x]+idx.occAt(x, hi)
+		lo, hi = idx.c[x]+idx.flatOccAt(x, lo), idx.c[x]+idx.flatOccAt(x, hi)
 		if lo >= hi {
 			return q, steps
 		}

@@ -33,11 +33,8 @@ func (idx *Index) CheckInvariants() error {
 		return fmt.Errorf("fmindex: SA mark bitvector: %w", err)
 	}
 	if d := idx.rel; d != nil {
-		if err := d.TenantIns.CheckInvariants(); err != nil {
-			return fmt.Errorf("fmindex: insertion markers: %w", err)
-		}
-		if err := d.BaseDel.CheckInvariants(); err != nil {
-			return fmt.Errorf("fmindex: deletion markers: %w", err)
+		if err := d.CheckInvariants(); err != nil {
+			return fmt.Errorf("fmindex: %w", err)
 		}
 	}
 	if err := idx.verifyLoad(); err != nil {

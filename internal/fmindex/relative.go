@@ -26,7 +26,7 @@ func (idx *Index) relBWTAt(i int32) byte {
 	d := idx.rel
 	if d.IsIns(i) {
 		d.NoteInsRead()
-		return d.InsChar(int32(d.TenantIns.Rank1(int(i))))
+		return d.InsChar(d.InsRank(i))
 	}
 	d.NoteBaseRead()
 	return idx.relBase.bwt.get(d.BaseRow(i))
@@ -95,6 +95,54 @@ func (idx *Index) relStepAll(iv Interval, out *[alphabet.Bases]Interval) {
 		c := idx.c[x+1]
 		out[x] = Interval{c + lo[x], c + hi[x]}
 	}
+}
+
+// relStep is Step on a tenant: relStepAll's three arms for one
+// character. It splits the lower endpoint once; a narrow interval
+// derives the upper endpoint's split from it and counts x over the
+// rows in between (base codes, minus deleted, plus inserted).
+func (idx *Index) relStep(x byte, iv Interval) Interval {
+	d := idx.rel
+	tIns, j, jDel := d.Split(iv.Lo)
+	lo := idx.relBase.flatOccAt(x, j) - d.OccDel(x, jDel) + d.OccIns(x, tIns)
+	var hi int32
+	if iv.Hi-iv.Lo > narrowRows {
+		tIns2, j2, jDel2 := d.Split(iv.Hi)
+		hi = idx.relBase.flatOccAt(x, j2) - d.OccDel(x, jDel2) + d.OccIns(x, tIns2)
+	} else if tIns2, j2, jDel2 := d.SplitFrom(iv.Lo, iv.Hi, tIns, j); j2-j > 2*narrowRows {
+		hi = idx.relBase.flatOccAt(x, j2) - d.OccDel(x, jDel2) + d.OccIns(x, tIns2)
+	} else {
+		hi = lo + idx.relBase.bwt.count(x, j, j2) - d.DelCount(x, jDel, jDel2) + d.InsCount(x, tIns, tIns2)
+	}
+	c := idx.c[x]
+	return Interval{c + lo, c + hi}
+}
+
+// relMatchLen is MatchLen on a tenant: a one-row step is
+// relStepSingleton (one split, one counted character read, no rank
+// query when the character is not x) and a multi-row step is relStep.
+func (idx *Index) relMatchLen(p []byte) (matched, steps int) {
+	x := p[0]
+	iv := Interval{idx.c[x], idx.c[x+1]}
+	steps = 1
+	if iv.Empty() {
+		return 0, steps
+	}
+	for q := 1; q < len(p); q++ {
+		x = p[q]
+		steps++
+		if iv.Hi == iv.Lo+1 {
+			var ok bool
+			if _, iv, ok = idx.relStepSingleton(iv.Lo, x); !ok {
+				return q, steps
+			}
+			continue
+		}
+		if iv = idx.relStep(x, iv); iv.Empty() {
+			return q, steps
+		}
+	}
+	return len(p), steps
 }
 
 // relStepSingleton is StepSingletonIf (and the LF step) on a tenant

@@ -99,17 +99,28 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 				}
 			}
 		}
-		// The steps the walks take: StepAll on every interval up to 70
-		// rows wide and on wide ones from every third row, and
-		// StepSingleton and the LF step on every row.
+		// The steps the walks take: StepAll and Step for every base on
+		// every interval up to 70 rows wide and on wide ones from every
+		// third row, and StepSingleton and the LF step on every row.
+		// Neither interval step reads a character.
 		var relOut, tenOut [alphabet.Bases]Interval
 		for lo := int32(0); lo <= rows; lo++ {
+			b0, i0 := rel.RelDelta().Reads()
 			for hi := lo; hi <= rows && (hi-lo <= 70 || lo%3 == 0); hi += 1 + (hi-lo)/70*37 {
-				rel.StepAll(Interval{lo, hi}, &relOut)
-				tenant.StepAll(Interval{lo, hi}, &tenOut)
+				iv := Interval{lo, hi}
+				rel.StepAll(iv, &relOut)
+				tenant.StepAll(iv, &tenOut)
 				if relOut != tenOut {
-					t.Fatalf("trial %d: StepAll([%d, %d)): relative %v, standalone %v", trial, lo, hi, relOut, tenOut)
+					t.Fatalf("trial %d: StepAll(%v): relative %v, standalone %v", trial, iv, relOut, tenOut)
 				}
+				for x := byte(alphabet.A); x <= alphabet.T; x++ {
+					if got, want := rel.Step(x, iv), tenant.Step(x, iv); got != want {
+						t.Fatalf("trial %d: Step(%d, %v): relative %v, standalone %v", trial, x, iv, got, want)
+					}
+				}
+			}
+			if b1, i1 := rel.RelDelta().Reads(); b1 != b0 || i1 != i0 {
+				t.Fatalf("trial %d: interval steps from row %d read %d characters", trial, lo, b1-b0+i1-i0)
 			}
 			if lo == rows {
 				break
@@ -169,6 +180,36 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 				t.Fatalf("MatchLen: relative (%d,%d), standalone (%d,%d)", gm, gs, wm, ws)
 			}
 		}
+		// MatchLen on patterns that stop early — random ones, and
+		// tenant substrings with one base substituted — and on every
+		// suffix of them: the tenant reports the standalone Step loop's
+		// (matched, steps) and reads one character per one-row step.
+		for probe := 0; probe < 40; probe++ {
+			var pat []byte
+			if probe%2 == 0 {
+				pat = randomRanks(rng, 8+rng.Intn(23))
+			} else {
+				start := rng.Intn(len(tenText))
+				pat = slices.Clone(tenText[start:min(len(tenText), start+10+rng.Intn(31))])
+				q := rng.Intn(len(pat))
+				pat[q] = alphabet.A + (pat[q]-alphabet.A+byte(1+rng.Intn(3)))%alphabet.Bases
+			}
+			for i := range pat {
+				wm, ws, oneRow := matchLenSteps(tenant, pat[i:])
+				b0, i0 := rel.RelDelta().Reads()
+				gm, gs := rel.MatchLen(pat[i:])
+				b1, i1 := rel.RelDelta().Reads()
+				if sm, ss := tenant.MatchLen(pat[i:]); sm != wm || ss != ws {
+					t.Fatalf("trial %d: standalone MatchLen(%v) = (%d, %d), Step loop (%d, %d)", trial, pat[i:], sm, ss, wm, ws)
+				}
+				if gm != wm || gs != ws {
+					t.Fatalf("trial %d: MatchLen(%v): relative (%d, %d), standalone (%d, %d)", trial, pat[i:], gm, gs, wm, ws)
+				}
+				if reads := b1 - b0 + i1 - i0; reads != int64(oneRow) {
+					t.Fatalf("trial %d: MatchLen(%v) read %d characters for %d one-row steps", trial, pat[i:], reads, oneRow)
+				}
+			}
+		}
 		// Read counters must have moved (base hits dominate at low
 		// divergence).
 		baseReads, insReads := rel.RelDelta().Reads()
@@ -177,6 +218,24 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 		}
 		_ = insReads
 	}
+}
+
+// matchLenSteps is MatchLen as a plain Step loop from the full
+// interval: the prefix length matched, the steps taken, and how many of
+// them started from a one-row interval.
+func matchLenSteps(idx *Index, p []byte) (matched, steps, oneRow int) {
+	iv := idx.Full()
+	for q, x := range p {
+		if iv.Len() == 1 {
+			oneRow++
+		}
+		iv = idx.Step(x, iv)
+		steps++
+		if iv.Empty() {
+			return q, steps, oneRow
+		}
+	}
+	return len(p), steps, oneRow
 }
 
 func TestRelativeReconstructText(t *testing.T) {

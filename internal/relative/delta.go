@@ -15,31 +15,38 @@ import (
 
 // occRate is the checkpoint spacing of the exception-character occ
 // tables: one cumulative count per base every occRate exception
-// characters (16 int32s per 64 chars — 0.25 bytes/char of directory).
-// The remainder is counted by alphabet.CountCodes, the 2-bit BWT's
-// popcount kernel, over at most two words.
+// characters, stored beside those characters' codes (seqBlock). The
+// remainder is counted by alphabet.CountCodes, the 2-bit BWT's
+// popcount kernel, over at most the block's two words.
 const occRate = 64
 
 // ErrCorrupt reports a delta payload that fails structural validation.
 var ErrCorrupt = errors.New("relative: corrupt delta")
 
-// charSeq stores exception characters at 2 bits each, 32 per word in
-// alphabet.Packed's layout. A BWT holds exactly one sentinel, so at
-// most one exception character per side is a sentinel — its index is
-// escaped out of band (sentAt) and the 2-bit codes only ever encode
-// the four proper bases (code = rank-1).
+// seqBlock holds occRate exception characters: the per-base counts of
+// the characters before the block and the block's 2-bit codes, in
+// alphabet.Packed's layout. At 32 bytes, two blocks share a cache line,
+// so a correction reads its checkpoint and the codes it completes with
+// one miss.
+type seqBlock struct {
+	occ   [alphabet.Bases]int32
+	codes [occRate / alphabet.CodesPerWord]uint64
+}
+
+// charSeq stores exception characters at 2 bits each in seqBlocks. A
+// BWT holds exactly one sentinel, so at most one exception character
+// per side is a sentinel — its index is escaped out of band (sentAt)
+// and the 2-bit codes only ever encode the four proper bases
+// (code = rank-1). There are n/occRate+1 blocks, so a checkpoint
+// exists for every prefix length up to n.
 type charSeq struct {
-	words  []uint64
+	blocks []seqBlock
 	n      int32
 	sentAt int32 // index whose character is the sentinel, or -1
 }
 
 func newCharSeq(chars []byte) charSeq {
-	s := charSeq{
-		words:  make([]uint64, (len(chars)+alphabet.CodesPerWord-1)/alphabet.CodesPerWord),
-		n:      int32(len(chars)),
-		sentAt: -1,
-	}
+	s := charSeq{blocks: make([]seqBlock, len(chars)/occRate+1), n: int32(len(chars)), sentAt: -1}
 	for i, ch := range chars {
 		code := uint64(0)
 		if ch == alphabet.Sentinel {
@@ -47,39 +54,92 @@ func newCharSeq(chars []byte) charSeq {
 		} else {
 			code = uint64(ch - 1)
 		}
-		s.words[i/alphabet.CodesPerWord] |= code << (i % alphabet.CodesPerWord * 2)
+		s.blocks[i/occRate].codes[i%occRate/alphabet.CodesPerWord] |= code << (i % alphabet.CodesPerWord * 2)
 	}
+	s.fillOcc()
 	return s
+}
+
+// fillOcc sets each block's checkpoint to the per-base counts of the
+// characters before it.
+func (s *charSeq) fillOcc() {
+	var running [alphabet.Bases]int32
+	for b := range s.blocks {
+		s.blocks[b].occ = running
+		from := int32(b) * occRate
+		s.countAll(from, min(from+occRate, s.n), &running)
+	}
 }
 
 func (s *charSeq) at(i int32) byte {
 	if i == s.sentAt {
 		return alphabet.Sentinel
 	}
-	return byte(s.words[i/alphabet.CodesPerWord]>>(i%alphabet.CodesPerWord*2))&3 + 1
+	w := s.blocks[i/occRate].codes[i%occRate/alphabet.CodesPerWord]
+	return byte(w>>(i%alphabet.CodesPerWord*2))&3 + 1
+}
+
+// occ returns the occurrences of base rank x among the first t
+// characters: one block's checkpoint plus a count of its codes.
+func (s *charSeq) occ(x byte, t int32) int32 {
+	b := &s.blocks[t/occRate]
+	from := t &^ (occRate - 1)
+	return b.occ[x-1] + alphabet.CountCode(b.codes[:], x-1, 0, t-from, s.sentAt-from)
+}
+
+// occAll is occ for all four bases.
+func (s *charSeq) occAll(t int32) [alphabet.Bases]int32 {
+	b := &s.blocks[t/occRate]
+	from := t &^ (occRate - 1)
+	cnt := b.occ
+	alphabet.CountCodes(b.codes[:], 0, t-from, s.sentAt-from, &cnt)
+	return cnt
 }
 
 // count returns the occurrences of base rank x among characters
-// [from, to).
+// [from, to), counting the codes of each block the range touches.
 func (s *charSeq) count(x byte, from, to int32) int32 {
-	return alphabet.CountCode(s.words, x-1, from, to, s.sentAt)
+	var n int32
+	for from < to {
+		base := from &^ (occRate - 1)
+		end := min(to, base+occRate)
+		n += alphabet.CountCode(s.blocks[base/occRate].codes[:], x-1, from-base, end-base, s.sentAt-base)
+		from = end
+	}
+	return n
 }
 
 // countAll adds the per-base counts of characters [from, to) to cnt.
 func (s *charSeq) countAll(from, to int32, cnt *[alphabet.Bases]int32) {
-	alphabet.CountCodes(s.words, from, to, s.sentAt, cnt)
+	for from < to {
+		base := from &^ (occRate - 1)
+		end := min(to, base+occRate)
+		alphabet.CountCodes(s.blocks[base/occRate].codes[:], from-base, end-base, s.sentAt-base, cnt)
+		from = end
+	}
 }
 
-// sizeBytes is the resident payload (the escape index rides in the
-// struct header).
-func (s *charSeq) sizeBytes() int { return len(s.words) * 8 }
+// sizeBytes is the resident payload, 32 bytes per block (the escape
+// index rides in the struct header).
+func (s *charSeq) sizeBytes() int { return len(s.blocks) * 32 }
+
+// dirRows is the spacing of the split directory: the tenant rows
+// between two entries, bitvec's rank superblock.
+const dirRows = bitvec.SuperblockBits
+
+// splitEntry is the split directory's entry for tenant row dirRows·s:
+// the insertion rows before it (TenantIns's rank checkpoint) and the j
+// of its Split.
+type splitEntry struct {
+	t, j uint32
+}
 
 // Delta expresses a tenant BWT as an alignment against a base BWT: a
 // common subsequence (rows copied from the base) plus tenant-only
 // insertions, mirrored by base-only deletions. TenantIns marks, per
 // tenant row, whether the row is an insertion; BaseDel marks, per base
 // row, whether the row is skipped. The characters of both exception
-// sets are stored packed (2 bits each) with sampled occ checkpoints,
+// sets are stored packed (2 bits each) beside sampled occ checkpoints,
 // so a tenant rank query becomes one base rank query plus two small
 // corrections:
 //
@@ -88,14 +148,16 @@ func (s *charSeq) sizeBytes() int { return len(s.words) * 8 }
 // where Split(i) maps the tenant prefix [0, i) to the base prefix
 // [0, j) covering the same common rows.
 type Delta struct {
-	TenantIns *bitvec.Rank // tenant rows that are insertions
-	BaseDel   *bitvec.Rank // base rows that are deleted, with select-0 samples
+	TenantIns *bitvec.Vector // tenant rows that are insertions
+	BaseDel   *bitvec.Rank   // base rows that are deleted
+
+	// dir is TenantIns's rank directory with each checkpoint's split
+	// beside it, one entry per dirRows tenant rows (and one for row
+	// TenantRows()); rebuilt on load, never serialized.
+	dir []splitEntry
 
 	ins charSeq // characters of insertion rows, tenant order
 	del charSeq // characters of deleted rows, base order
-
-	insOcc []int32 // occ checkpoints over ins, 4 per occRate chars
-	delOcc []int32 // occ checkpoints over del
 
 	baseReads atomic.Int64 // BWT reads answered from the base
 	insReads  atomic.Int64 // BWT reads answered from the insertion set
@@ -114,26 +176,33 @@ func (d *Delta) DelLen() int { return int(d.del.n) }
 // IsIns reports whether tenant row i is an insertion.
 func (d *Delta) IsIns(i int32) bool { return d.TenantIns.Get(int(i)) }
 
+// InsRank returns the number of insertion rows before tenant row i.
+func (d *Delta) InsRank(i int32) int32 {
+	return int32(d.dir[i/dirRows].t) + int32(d.TenantIns.RankInSuperblock(int(i)))
+}
+
 // Split maps the tenant prefix [0, i) to its delta coordinates:
 // tIns insertion rows fall inside it, the common rows it contains are
 // exactly the base prefix [0, j) minus the jDel deleted rows inside
-// that prefix.
+// that prefix. One directory entry gives the split of the last tenant
+// row at a multiple of dirRows; the common rows since then are
+// selected forward from its j, by a short scan of BaseDel.
 func (d *Delta) Split(i int32) (tIns, j, jDel int32) {
-	t := d.TenantIns.Rank1(int(i))
-	cs := int(i) - t // common rows before tenant row i
-	var bj int
-	if cs > 0 {
-		bj = d.BaseDel.Select0(cs) + 1 // one past the cs-th kept base row
+	e := d.dir[i/dirRows]
+	tIns = int32(e.t) + int32(d.TenantIns.RankInSuperblock(int(i)))
+	j = int32(e.j)
+	if c := i%dirRows - (tIns - int32(e.t)); c > 0 { // common rows since the entry
+		j = int32(d.BaseDel.Select0From(int(j), int(c))) + 1
 	}
-	return int32(t), int32(bj), int32(bj - cs)
+	return tIns, j, j - (i - tIns)
 }
 
 // SplitFrom returns Split(hi) from the split (tIns, j, ·) of an
-// earlier row lo <= hi without a select from the start of BaseDel: the
-// common rows of [lo, hi) are selected forward from j. That scan grows
-// with the rows it passes, so it suits narrow intervals.
+// earlier row lo <= hi: the common rows of [lo, hi) are selected
+// forward from j. That scan grows with the rows it passes, so it suits
+// narrow intervals.
 func (d *Delta) SplitFrom(lo, hi, tIns, j int32) (tIns2, j2, jDel2 int32) {
-	tIns2, j2 = int32(d.TenantIns.Rank1(int(hi))), j
+	tIns2, j2 = d.InsRank(hi), j
 	if c := hi - lo - (tIns2 - tIns); c > 0 { // common rows in [lo, hi)
 		j2 = int32(d.BaseDel.Select0From(int(j), int(c))) + 1
 	}
@@ -143,14 +212,13 @@ func (d *Delta) SplitFrom(lo, hi, tIns, j int32) (tIns2, j2, jDel2 int32) {
 // BaseRow maps a common tenant row i (IsIns(i) must be false) to its
 // base row.
 func (d *Delta) BaseRow(i int32) int32 {
-	cs := int(i) - d.TenantIns.Rank1(int(i)) // common rows strictly before i
-	return int32(d.BaseDel.Select0(cs + 1))
+	_, j, _ := d.Split(i)
+	return d.KeptFrom(j)
 }
 
 // KeptFrom returns the first kept (not deleted) base row at or after
 // j. For a common tenant row i with Split(i) = (·, j, ·) it is
-// BaseRow(i), found by scanning BaseDel forward from j instead of a
-// second select.
+// BaseRow(i), found by scanning BaseDel forward from j.
 func (d *Delta) KeptFrom(j int32) int32 {
 	return int32(d.BaseDel.Select0From(int(j), 1))
 }
@@ -163,25 +231,22 @@ func (d *Delta) DelChar(rank int32) byte { return d.del.at(rank) }
 
 // OccIns counts occurrences of base rank x among the first t insertion
 // characters.
-func (d *Delta) OccIns(x byte, t int32) int32 {
-	return occAt(&d.ins, d.insOcc, x, t)
-}
+func (d *Delta) OccIns(x byte, t int32) int32 { return d.ins.occ(x, t) }
 
 // OccDel counts occurrences of base rank x among the first t deleted
 // characters.
-func (d *Delta) OccDel(x byte, t int32) int32 {
-	return occAt(&d.del, d.delOcc, x, t)
-}
+func (d *Delta) OccDel(x byte, t int32) int32 { return d.del.occ(x, t) }
 
 // OccInsAll returns per-base counts over the first t insertion chars.
-func (d *Delta) OccInsAll(t int32) [alphabet.Bases]int32 {
-	return occAllAt(&d.ins, d.insOcc, t)
-}
+func (d *Delta) OccInsAll(t int32) [alphabet.Bases]int32 { return d.ins.occAll(t) }
 
 // OccDelAll returns per-base counts over the first t deleted chars.
-func (d *Delta) OccDelAll(t int32) [alphabet.Bases]int32 {
-	return occAllAt(&d.del, d.delOcc, t)
-}
+func (d *Delta) OccDelAll(t int32) [alphabet.Bases]int32 { return d.del.occAll(t) }
+
+// InsCount and DelCount count base rank x among insertion (deleted)
+// chars [from, to), counting the range alone, without a checkpoint.
+func (d *Delta) InsCount(x byte, from, to int32) int32 { return d.ins.count(x, from, to) }
+func (d *Delta) DelCount(x byte, from, to int32) int32 { return d.del.count(x, from, to) }
 
 // InsCountAll adds the per-base counts of insertion chars [from, to)
 // to cnt, counting the range alone, without a checkpoint.
@@ -195,19 +260,6 @@ func (d *Delta) DelCountAll(from, to int32, cnt *[alphabet.Bases]int32) {
 	d.del.countAll(from, to, cnt)
 }
 
-func occAt(s *charSeq, occ []int32, x byte, t int32) int32 {
-	chk := t / occRate
-	return occ[chk*alphabet.Bases+int32(x-1)] + s.count(x, chk*occRate, t)
-}
-
-func occAllAt(s *charSeq, occ []int32, t int32) [alphabet.Bases]int32 {
-	chk := t / occRate
-	row := occ[chk*alphabet.Bases : chk*alphabet.Bases+alphabet.Bases]
-	cnt := [alphabet.Bases]int32{row[0], row[1], row[2], row[3]}
-	s.countAll(chk*occRate, t, &cnt)
-	return cnt
-}
-
 // NoteBaseRead / NoteInsRead bump the per-delta read counters feeding
 // the km_relative_* base-hit vs delta-correction metrics.
 func (d *Delta) NoteBaseRead() { d.baseReads.Add(1) }
@@ -218,40 +270,50 @@ func (d *Delta) Reads() (base, ins int64) {
 	return d.baseReads.Load(), d.insReads.Load()
 }
 
-// SizeBytes returns the resident delta payload: both marker bitvectors
-// with their rank directories and BaseDel's select-0 samples, the
-// packed exception characters, and their occ checkpoints.
+// SizeBytes returns the resident delta payload: both marker vectors,
+// BaseDel's rank directory, the split directory, and the exception
+// blocks.
 func (d *Delta) SizeBytes() int {
 	return d.TenantIns.SizeBytes() + d.BaseDel.SizeBytes() +
-		d.ins.sizeBytes() + d.del.sizeBytes() +
-		(len(d.insOcc)+len(d.delOcc))*4
+		len(d.dir)*8 +
+		d.ins.sizeBytes() + d.del.sizeBytes()
 }
 
-// buildOcc samples cumulative per-base counts over s every occRate
-// positions (checkpoint k covers s[:k*occRate]).
-func buildOcc(s *charSeq) []int32 {
-	nChk := int(s.n)/occRate + 1
-	occ := make([]int32, 0, nChk*alphabet.Bases)
-	var running [alphabet.Bases]int32
-	for p := int32(0); ; p += occRate {
-		occ = append(occ, running[:]...)
-		if p+occRate > s.n {
-			return occ
+// newDelta freezes validated markers and exception sets into a Delta
+// and builds its split directory in one sweep of both marker vectors.
+func newDelta(ins *bitvec.Vector, del *bitvec.Rank, insSeq, delSeq charSeq) *Delta {
+	d := &Delta{TenantIns: ins, BaseDel: del, ins: insSeq, del: delSeq}
+	d.dir = splitDir(ins, del)
+	return d
+}
+
+// splitDir computes the split directory: the insertion count and the
+// Split j at every dirRows-th tenant row, with a base cursor that
+// passes each common row's deleted predecessors and then the row.
+func splitDir(ins *bitvec.Vector, del *bitvec.Rank) []splitEntry {
+	rows := ins.Len()
+	dir := make([]splitEntry, rows/dirRows+1)
+	var t, j uint32
+	for i := 0; ; i++ {
+		if i%dirRows == 0 {
+			dir[i/dirRows] = splitEntry{t, j}
 		}
-		s.countAll(p, p+occRate, &running)
+		if i == rows {
+			return dir
+		}
+		if ins.Get(i) {
+			t++
+			continue
+		}
+		for del.Get(int(j)) {
+			j++
+		}
+		j++
 	}
 }
 
 func finishDelta(ins, del *bitvec.Vector, insChars, delChars []byte) *Delta {
-	d := &Delta{
-		TenantIns: bitvec.NewRank(ins),
-		BaseDel:   bitvec.NewRankSelect0(del),
-		ins:       newCharSeq(insChars),
-		del:       newCharSeq(delChars),
-	}
-	d.insOcc = buildOcc(&d.ins)
-	d.delOcc = buildOcc(&d.del)
-	return d
+	return newDelta(ins, bitvec.NewRank(del), newCharSeq(insChars), newCharSeq(delChars))
 }
 
 // Builder accumulates an alignment between a base BWT and a tenant BWT
@@ -319,15 +381,17 @@ func writeSeq(put func(v any) error, s *charSeq) error {
 	if err := put(uint64(s.sentAt + 1)); err != nil {
 		return err
 	}
-	packed := make([]byte, 0, len(s.words)*8)
-	for _, w := range s.words {
-		packed = binary.LittleEndian.AppendUint64(packed, w)
+	packed := make([]byte, 0, len(s.blocks)*occRate/4)
+	for _, b := range s.blocks {
+		for _, w := range b.codes {
+			packed = binary.LittleEndian.AppendUint64(packed, w)
+		}
 	}
 	return put(packed[:(s.n+3)/4])
 }
 
 // WriteTo serializes the delta payload (marker words and packed
-// exception characters; the occ checkpoints and the select-0 samples
+// exception characters; the occ checkpoints and the split directory
 // are rebuilt on load).
 func (d *Delta) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -375,11 +439,12 @@ func readSeq(br *bufio.Reader, maxChars uint64, side string) (charSeq, error) {
 	if rem := n % 4; rem != 0 && packed[len(packed)-1]>>(rem*2) != 0 {
 		return charSeq{}, fmt.Errorf("%w: stale %s char codes past %d", ErrCorrupt, side, n)
 	}
-	words := make([]uint64, (n+alphabet.CodesPerWord-1)/alphabet.CodesPerWord)
-	for i, b := range packed {
-		words[i/8] |= uint64(b) << (i % 8 * 8)
+	s := charSeq{blocks: make([]seqBlock, n/occRate+1), n: int32(n), sentAt: int32(sent) - 1}
+	for i, b := range packed { // 16 bytes of codes per block, 8 per word
+		s.blocks[i/16].codes[i%16/8] |= uint64(b) << (i % 8 * 8)
 	}
-	return charSeq{words: words, n: int32(n), sentAt: int32(sent) - 1}, nil
+	s.fillOcc()
+	return s, nil
 }
 
 // ReadDelta deserializes a delta written by WriteTo and validates it
@@ -434,22 +499,19 @@ func ReadDelta(r io.Reader, tenantRows, baseRows int) (*Delta, error) {
 		return nil, err
 	}
 
-	ti := bitvec.NewRank(insVec)
-	bd := bitvec.NewRankSelect0(delVec)
-	if ti.Ones() != int(ins.n) {
-		return nil, fmt.Errorf("%w: %d insertion chars for %d marked rows", ErrCorrupt, ins.n, ti.Ones())
+	insOnes := insVec.Count()
+	bd := bitvec.NewRank(delVec)
+	if insOnes != int(ins.n) {
+		return nil, fmt.Errorf("%w: %d insertion chars for %d marked rows", ErrCorrupt, ins.n, insOnes)
 	}
 	if bd.Ones() != int(del.n) {
 		return nil, fmt.Errorf("%w: %d deletion chars for %d marked rows", ErrCorrupt, del.n, bd.Ones())
 	}
-	if int(tn)-ti.Ones() != int(bn)-bd.Ones() {
+	if int(tn)-insOnes != int(bn)-bd.Ones() {
 		return nil, fmt.Errorf("%w: common rows disagree (%d tenant, %d base)",
-			ErrCorrupt, int(tn)-ti.Ones(), int(bn)-bd.Ones())
+			ErrCorrupt, int(tn)-insOnes, int(bn)-bd.Ones())
 	}
-	d := &Delta{TenantIns: ti, BaseDel: bd, ins: ins, del: del}
-	d.insOcc = buildOcc(&d.ins)
-	d.delOcc = buildOcc(&d.del)
-	return d, nil
+	return newDelta(insVec, bd, ins, del), nil
 }
 
 func firstErr(errs ...error) error {

@@ -133,13 +133,16 @@ func editScript(rng *rand.Rand, base []byte, rate float64, runs bool) (tenant []
 }
 
 // TestDeltaBridgesRankQueries builds deltas through the Builder and
-// checks, at every tenant row, Split, BaseRow, KeptFrom, the
-// exception characters, OccIns/OccDel(All) and the rank bridge against
-// naive counts over the alignment, and SplitFrom with the range counts
-// for every row pair up to 64 apart. Besides small Myers-aligned
-// blocks it takes deltas of 20,000 rows — enough zeros in BaseDel for
-// many select samples — and one with runs of 700 deleted and 650
-// inserted rows, longer than a rank superblock.
+// checks every split directory entry and, at every tenant row, Split,
+// BaseRow, KeptFrom, the exception characters, OccIns/OccDel(All) and
+// the rank bridge against naive counts over the alignment, and
+// SplitFrom with the range counts for every row pair up to 64 apart.
+// Besides small Myers-aligned blocks it takes deltas of 20,000 rows —
+// many directory entries and exception blocks — and one with runs of
+// 700 deleted and 650 inserted rows, longer than a rank superblock:
+// the deleted run puts the tenant rows after it more than Select0From's
+// 16-word scan past their directory entry, so Split reaches the select
+// fallback there.
 func TestDeltaBridgesRankQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -234,6 +237,14 @@ func checkDelta(t *testing.T, name string, base, tenant []byte, pairs [][2]int) 
 		return tIns, j, j - cs
 	}
 
+	for s, e := range d.dir {
+		if wt, wj, _ := split(s * dirRows); int32(e.t) != wt || int32(e.j) != wj {
+			t.Fatalf("%s: split directory entry %d = (%d, %d), want (%d, %d)", name, s, e.t, e.j, wt, wj)
+		}
+	}
+	if len(d.dir) != len(tenant)/dirRows+1 {
+		t.Fatalf("%s: %d split directory entries for %d rows", name, len(d.dir), len(tenant))
+	}
 	for i := 0; i <= len(tenant); i++ {
 		tIns, j, jDel := d.Split(int32(i))
 		wt, wj, wd := split(i)
