@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +16,12 @@ import (
 // FuzzSearchMethods cross-checks the four BWT-path methods and Seed
 // against the naive oracle on arbitrary byte inputs (sanitized into the
 // DNA alphabet): every match position and its mismatch count. The φ
-// bound is capped at k+1, so this is the broadest guard on it. Run with
-// `go test -fuzz=FuzzSearchMethods` for continuous fuzzing; the seed
-// corpus runs in ordinary `go test`.
+// bound is capped at k+1, so this is the broadest guard on it. Each
+// input also builds a relative tenant of the target against a base
+// derived from it (fuzzBase), whose four BWT-path methods must return
+// the standalone index's matches and work counters: the tenant rank
+// bridge under the walk. Run with `go test -fuzz=FuzzSearchMethods` for
+// continuous fuzzing; the seed corpus runs in ordinary `go test`.
 func FuzzSearchMethods(f *testing.F) {
 	f.Add([]byte("acagaca"), []byte("tcaca"), byte(2))
 	f.Add([]byte("ccacacagaagcc"), []byte("aaaaacaaac"), byte(4))
@@ -40,6 +44,11 @@ func FuzzSearchMethods(f *testing.F) {
 			f.Add([]byte(repeats), []byte(p), k)
 		}
 	}
+	// A 1,500-base homopolymer: fuzzBase breaks it every 11th base, so
+	// the base's rows a^j·c (j ≤ 10) form a run of over a thousand
+	// deleted rows, longer than the split directory's forward scan —
+	// the tenant's Split falls back to a select past it.
+	f.Add([]byte(strings.Repeat("a", 1500)+"cgtgca"), []byte(strings.Repeat("a", 30)+"cg"), byte(1))
 	f.Fuzz(func(t *testing.T, target, pattern []byte, k8 byte) {
 		if len(target) == 0 || len(target) > 2000 {
 			return
@@ -81,7 +90,56 @@ func FuzzSearchMethods(f *testing.F) {
 				}
 			}
 		}
+
+		base, err := New(fuzzBase(cleanT))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx, err := NewRelative(base, cleanT)
+		if err != nil {
+			t.Fatalf("NewRelative(%q): %v", cleanT, err)
+		}
+		if err := rx.searcher.Index().CheckInvariants(); err != nil {
+			t.Fatalf("tenant invariants(%q): %v", cleanT, err)
+		}
+		for _, method := range []Method{AlgorithmA, BWTBaseline, STree, AlgorithmANoPhi} {
+			want, wantSt, err := SearchMethod(idx, cleanP, k, method)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSt, err := SearchMethod(rx, cleanP, k, method)
+			if err != nil {
+				t.Fatalf("tenant %v: %v", method, err)
+			}
+			wantSt.LocateNS, gotSt.LocateNS = 0, 0
+			if !slices.Equal(got, want) || gotSt != wantSt {
+				t.Fatalf("tenant %v: %d matches %+v, standalone %d matches %+v (target %q pattern %q k=%d)",
+					method, len(got), gotSt, len(want), wantSt, cleanT, cleanP, k)
+			}
+		}
 	})
+}
+
+// fuzzBase derives the base of FuzzSearchMethods' relative arm from a
+// sanitized target: every 11th base replaced by the next one in acgt
+// order, and the stretch of a sixteenth of the target starting at its
+// third cut out. The tenant's delta then holds insertions and deletions
+// at the substitutions and a stretch of insertions at the cut; runs of
+// either follow from repeats in the target.
+func fuzzBase(target []byte) []byte {
+	const next = "cgta" // next[i] follows "acgt"[i]
+	cut, cutLen := len(target)/3, len(target)/16
+	base := make([]byte, 0, len(target))
+	for i, ch := range target {
+		if i >= cut && i < cut+cutLen {
+			continue
+		}
+		if i%11 == 5 {
+			ch = next[strings.IndexByte("acgt", ch)]
+		}
+		base = append(base, ch)
+	}
+	return base
 }
 
 // FuzzSaveLoad checks that any index round-trips bit-identically through

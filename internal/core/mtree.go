@@ -391,12 +391,15 @@ func (a *asearch) exploreFresh(iv fmindex.Interval, j, brem, e int) int32 {
 					b.kind = branchNarrow
 					if brem-1 >= a.phi[t+1] {
 						a.smallWalk(civ, t+1, brem-1, e+1)
+					} else {
+						a.leafTerm() // φ-pruned path terminal
 					}
 				case brem-1 >= a.phi[t+1]:
 					b.kind = branchStructured
 					b.child = a.exploreBranch(civ, t+1, brem-1, e+1)
 				default:
 					b.kind = branchStub
+					a.leafTerm() // φ-pruned path terminal
 				}
 				bi := int32(len(a.brs))
 				a.brs = append(a.brs, b)
@@ -410,6 +413,9 @@ func (a *asearch) exploreFresh(iv fmindex.Interval, j, brem, e int) int32 {
 		}
 		if matchIv.Empty() {
 			end = endDead
+			if brem == 0 {
+				a.leafTerm() // dead end of the only child, as exactWalk counts it
+			}
 			break
 		}
 		cur = matchIv
@@ -519,7 +525,11 @@ func (a *asearch) derive(ri int32, jNew, rem, e int) {
 				cost = 1
 			}
 			nb := budget - cost
-			if nb < 0 || nb < a.phi[jNew+t+1] {
+			if nb < 0 {
+				continue
+			}
+			if nb < a.phi[jNew+t+1] {
+				a.leafTerm() // φ-pruned path terminal
 				continue
 			}
 			switch b.kind {
