@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadShardedRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRelativeRoundTrip -fuzztime=10s -tags kminvariants .
+	$(GO) test -run='^$$' -fuzz=FuzzPackedMismatches -fuzztime=10s ./internal/alphabet
 
 # Every Go benchmark of the module, once each: a benchmark that panics
 # or fails breaks the gate instead of rotting until someone times it.

@@ -111,11 +111,17 @@ type Stats struct {
 // Index is an immutable k-mismatch search index over one target sequence.
 // It is safe for concurrent use once built.
 type Index struct {
-	text     []byte // rank-encoded target; nil until first use when textFn is set
+	text     *alphabet.Packed // 2-bit target; nil until first use when textFn is set
 	textOnce sync.Once
-	textFn   func() []byte // lazy target reconstruction (relative layout)
+	textFn   func() (*alphabet.Packed, error) // lazy target reconstruction (relative layout)
+	textErr  error
 	searcher *core.Searcher
 	refs     []Ref // reference table for NewRefs indexes; nil otherwise
+
+	// ranks is the target decoded to one rank per base, for the
+	// text-scanning methods off the production path; nil until one runs.
+	ranksOnce sync.Once
+	ranks     []byte
 
 	amirOnce sync.Once
 	amirM    *amir.Matcher
@@ -152,11 +158,21 @@ func New(target []byte, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInput, err)
 	}
-	searcher, err := core.NewSearcher(ranks, cfg.fm)
+	return newIndex(ranks, cfg.fm)
+}
+
+// newIndex builds an index over rank-encoded text and keeps the text
+// packed, 2 bits per base. It does not retain ranks.
+func newIndex(ranks []byte, fm fmindex.Options) (*Index, error) {
+	searcher, err := core.NewSearcher(ranks, fm)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{text: ranks, searcher: searcher}, nil
+	text, err := alphabet.Pack(ranks)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInput, err)
+	}
+	return &Index{text: text, searcher: searcher}, nil
 }
 
 // Sanitize replaces characters outside the DNA alphabet (e.g. 'N') with
@@ -167,20 +183,41 @@ func Sanitize(seq []byte) ([]byte, int) { return alphabet.Sanitize(seq) }
 // Len returns the target length.
 func (x *Index) Len() int { return x.searcher.N() }
 
-// targetText returns the rank-encoded target, reconstructing it on
-// first use for layouts that do not keep the text resident (the
-// relative layout rebuilds it from the BWT via one LF walk). The BWT
-// search paths never call this — only the text-scanning baselines and
-// reference decoding do.
-func (x *Index) targetText() []byte {
+// packedText returns the 2-bit target, reconstructing it on first use
+// for layouts that do not keep the text resident (the relative layout
+// rebuilds it from the BWT via one LF walk). The BWT search paths never
+// call this; Seed, Save, RefSeq and the text-scanning methods do.
+func (x *Index) packedText() (*alphabet.Packed, error) {
 	if x.textFn != nil {
-		x.textOnce.Do(func() { x.text = x.textFn() })
+		x.textOnce.Do(func() { x.text, x.textErr = x.textFn() })
 	}
-	return x.text
+	return x.text, x.textErr
+}
+
+// rankText returns the target at one rank per base, the form the
+// methods off the production path scan: Amir's Aho–Corasick pass, Cole,
+// Online, MEMs, SearchWildcard and SearchEdits. They share one copy,
+// decoded from the packed text when the first of them runs.
+func (x *Index) rankText() ([]byte, error) {
+	text, err := x.packedText()
+	if err != nil {
+		return nil, err
+	}
+	x.ranksOnce.Do(func() { x.ranks = text.Unpack() })
+	return x.ranks, nil
 }
 
 // SizeBytes estimates the resident size of the BWT index structures.
 func (x *Index) SizeBytes() int { return x.searcher.Index().SizeBytes() }
+
+// ResidentBytes is the resident cost of a standalone index: the BWT
+// structures (SizeBytes) plus the packed target text, 0.25 B/base. The
+// rank copy the off-path methods decode on first use is not counted. A
+// relative tenant rebuilds its text only when a text path needs it;
+// its cost is DeltaBytes, and its base is counted once, by the holder.
+func (x *Index) ResidentBytes() int {
+	return x.SizeBytes() + (x.Len()+alphabet.CodesPerWord-1)/alphabet.CodesPerWord*8
+}
 
 // Tracer receives per-query telemetry from the search primitive: phase
 // spans (phi, traverse, locate) plus one event per unit of the paper's
@@ -215,8 +252,12 @@ func (x *Index) MEMs(pattern []byte, minLen int) ([]MEM, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty pattern", ErrInput)
 	}
+	text, err := x.rankText()
+	if err != nil {
+		return nil, err
+	}
 	x.biOnce.Do(func() {
-		x.bi, x.biErr = fmindex.BuildBi(x.targetText(), fmindex.DefaultOptions())
+		x.bi, x.biErr = fmindex.BuildBi(text, fmindex.DefaultOptions())
 	})
 	if x.biErr != nil {
 		return nil, x.biErr
@@ -225,7 +266,9 @@ func (x *Index) MEMs(pattern []byte, minLen int) ([]MEM, error) {
 	out := make([]MEM, len(raw))
 	var buf []int32
 	for i, m := range raw {
-		buf = x.bi.Fwd().Locate(m.Iv.Fwd, buf[:0])
+		if buf, err = x.bi.Fwd().Locate(m.Iv.Fwd, buf[:0]); err != nil {
+			return nil, err
+		}
 		positions := make([]int, len(buf))
 		for j, q := range buf {
 			positions[j] = int(q)
@@ -260,7 +303,11 @@ func (x *Index) SearchWildcard(pattern []byte) ([]int, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("%w: empty pattern", ErrInput)
 	}
-	x.wildOnce.Do(func() { x.wildM = wildcard.New(x.searcher.Index(), x.targetText()) })
+	text, err := x.rankText()
+	if err != nil {
+		return nil, err
+	}
+	x.wildOnce.Do(func() { x.wildM = wildcard.New(x.searcher.Index(), text) })
 	pos, err := x.wildM.Find(p, wildcardRank)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInput, err)
@@ -290,7 +337,11 @@ func (x *Index) SearchEdits(pattern []byte, k int) ([]EditMatch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInput, err)
 	}
-	ms, err := kerrors.FindBanded(x.targetText(), p, k)
+	text, err := x.rankText()
+	if err != nil {
+		return nil, err
+	}
+	ms, err := kerrors.FindBanded(text, p, k)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInput, err)
 	}

@@ -365,7 +365,7 @@ func buildRelativeFile(path, basePath string, refs []bwtmatch.Reference, named b
 		return err
 	}
 	fmt.Printf("built relative index against %s (%d base-index bytes shared) in %v, saved to %s (%d delta bytes)\n",
-		basePath, base.SizeBytes()+base.Len(),
+		basePath, base.ResidentBytes(),
 		time.Since(start).Round(time.Millisecond), path, rx.DeltaBytes())
 	return nil
 }

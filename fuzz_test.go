@@ -239,6 +239,8 @@ func FuzzLoadRoundTrip(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/3] ^= 0xff
 	f.Add(mutated)
+	f.Add(nonCanonicalText(valid, true))
+	f.Add(nonCanonicalText(valid, false))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := Load(bytes.NewReader(data))
@@ -256,6 +258,15 @@ func FuzzLoadRoundTrip(f *testing.F) {
 		}
 		if _, err := Search(idx, []byte("acgt"), 1); err != nil {
 			t.Fatalf("loaded index cannot search: %v", err)
+		}
+		// The loader keeps the text payload it read, so it re-saves as it
+		// was: magic, length, word count and words.
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if head := 20 + idx.text.SizeBytes(); !bytes.Equal(buf.Bytes()[:head], data[:head]) {
+			t.Fatal("text payload does not re-save byte-identically")
 		}
 	})
 }

@@ -159,8 +159,8 @@ func TestPackRoundTrip(t *testing.T) {
 		if p.Len() != len(ranks) {
 			return false
 		}
-		return bytes.Equal(p.Unpack(), ranks) &&
-			bytes.Equal(FromWords(p.Words(), len(ranks)).Unpack(), ranks)
+		q, err := FromWords(p.Words(), len(ranks))
+		return err == nil && bytes.Equal(p.Unpack(), ranks) && bytes.Equal(q.Unpack(), ranks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -177,6 +177,34 @@ func TestPackGet(t *testing.T) {
 		if got := p.Get(i); got != want {
 			t.Fatalf("Get(%d) = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestFromWordsCanonical accepts only the payload Pack writes: one
+// word per 32 bases, rounded up, and zero bits past the last base.
+func TestFromWordsCanonical(t *testing.T) {
+	ranks, _ := Encode([]byte("acgtacgtacgtacgtacgtacgtacgtacgtacg"))
+	p, err := Pack(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := p.Words()
+	if _, err := FromWords(words, len(ranks)); err != nil {
+		t.Fatalf("canonical payload rejected: %v", err)
+	}
+	if _, err := FromWords(append(words[:len(words):len(words)], 0), len(ranks)); err == nil {
+		t.Error("payload with an extra word accepted")
+	}
+	if _, err := FromWords(words[:1], len(ranks)); err == nil {
+		t.Error("payload one word short accepted")
+	}
+	padded := append([]uint64(nil), words...)
+	padded[1] |= 1 << 63
+	if _, err := FromWords(padded, len(ranks)); err == nil {
+		t.Error("payload with nonzero padding accepted")
+	}
+	if _, err := FromWords(nil, 0); err != nil {
+		t.Errorf("empty payload rejected: %v", err)
 	}
 }
 

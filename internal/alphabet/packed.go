@@ -36,8 +36,18 @@ func Pack(ranks []byte) (*Packed, error) {
 }
 
 // FromWords wraps a payload taken from Words as a packed text of n
-// bases; words must hold at least (n+31)/32 entries.
-func FromWords(words []uint64, n int) *Packed { return &Packed{words: words, n: n} }
+// bases. It accepts only the encoding Pack writes: exactly (n+31)/32
+// words, with every bit past base n-1 zero. So a loaded text holds no
+// words beyond its bases, and saving it again reproduces the payload.
+func FromWords(words []uint64, n int) (*Packed, error) {
+	if n < 0 || len(words) != (n+CodesPerWord-1)/CodesPerWord {
+		return nil, fmt.Errorf("alphabet: %d words cannot hold exactly %d bases", len(words), n)
+	}
+	if r := n % CodesPerWord; r != 0 && words[len(words)-1]>>uint(r*2) != 0 {
+		return nil, fmt.Errorf("alphabet: nonzero padding past base %d", n)
+	}
+	return &Packed{words: words, n: n}, nil
+}
 
 // Words returns the packed payload: the code of base i sits in bits
 // 2(i%32)..2(i%32)+1 of word i/32.
@@ -70,6 +80,42 @@ func (p *Packed) Unpack() []byte {
 		out[i] = p.Get(i)
 	}
 	return out
+}
+
+// Mismatches returns the Hamming distance between the bases of pat and
+// the text's bases start..start+pat.Len()-1, a window that must lie
+// inside the text. It compares 32 bases per word: it aligns the text's
+// codes to the pattern's, XORs the two words, folds each 2-bit slot
+// onto its low bit, masks off the slots past the pattern's end and
+// popcounts. It stops at the first word that takes the count past
+// limit: the result is exact when it is at most limit, and some value
+// above limit otherwise.
+func (p *Packed) Mismatches(start int, pat *Packed, limit int) int {
+	m := pat.n
+	if m == 0 {
+		return 0
+	}
+	// The text words the window touches, and the shift that moves the
+	// window's first code to slot 0.
+	text := p.words[start/CodesPerWord : (start+m-1)/CodesPerWord+1]
+	sh := uint(start%CodesPerWord) * 2
+	d := 0
+	for j, pw := range pat.words {
+		t := text[j] >> sh
+		if j+1 < len(text) {
+			t |= text[j+1] << (64 - sh) // a shift by 64 yields 0
+		}
+		x := t ^ pw
+		x = (x | x>>1) & slotLowBits // one bit per differing slot
+		if rest := m - j*CodesPerWord; rest < CodesPerWord {
+			x &= 1<<uint(rest*2) - 1
+		}
+		d += bits.OnesCount64(x)
+		if d > limit {
+			return d
+		}
+	}
+	return d
 }
 
 // CountCode returns how many of the 2-bit codes in slots [from, to) of

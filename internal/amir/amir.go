@@ -16,10 +16,11 @@ package amir
 
 import (
 	"errors"
-	"sort"
+	"fmt"
+	"slices"
 
+	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/exact"
-	"bwtmatch/internal/naive"
 )
 
 // Stats reports filter effectiveness for one query.
@@ -37,17 +38,20 @@ type Match struct {
 }
 
 // Matcher answers k-mismatch queries against one target text by
-// filtering + verification. It keeps only a reference to the text; all
-// per-query state is local.
+// filtering + verification. It keeps only references to the text, in
+// both encodings; all per-query state is local.
 type Matcher struct {
-	text []byte
+	text   []byte           // rank-encoded, for the Aho–Corasick scan
+	packed *alphabet.Packed // the same text, for verification
 }
 
 // ErrPattern reports an unusable pattern.
 var ErrPattern = errors.New("amir: invalid pattern")
 
-// New returns a Matcher over text (any byte alphabet).
-func New(text []byte) *Matcher { return &Matcher{text: text} }
+// New returns a Matcher over a rank-encoded text and its packed form.
+func New(text []byte, packed *alphabet.Packed) *Matcher {
+	return &Matcher{text: text, packed: packed}
+}
 
 // Find returns all k-mismatch occurrences of pattern, sorted by position.
 func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
@@ -59,8 +63,12 @@ func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 	if m > n {
 		return nil, st, nil
 	}
+	pat, err := alphabet.Pack(pattern)
+	if err != nil {
+		return nil, st, fmt.Errorf("%w: %v", ErrPattern, err)
+	}
 	if k >= m {
-		out := All(a.text, pattern)
+		out := All(a.packed, pat)
 		st.Matches = len(out)
 		return out, st, nil
 	}
@@ -79,17 +87,19 @@ func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 	// One pass: every block hit proposes the alignment start that would
 	// place the block at its pattern offset.
 	ac := exact.NewAhoCorasick(blocks)
-	candidates := make(map[int32]struct{})
+	var candidates []int32
 	ac.Scan(a.text, func(h exact.Hit) bool {
 		st.Seeds++
 		start := h.Pos - int32(offsets[h.PatternID])
 		if start >= 0 && int(start)+m <= n {
-			candidates[start] = struct{}{}
+			candidates = append(candidates, start)
 		}
 		return true
 	})
 
-	out := Verify(a.text, pattern, k, candidates)
+	slices.Sort(candidates)
+	candidates = slices.Compact(candidates)
+	out := Verify(a.packed, pat, k, candidates)
 	st.Candidates, st.Matches = len(candidates), len(out)
 	return out, st, nil
 }
@@ -97,27 +107,26 @@ func (a *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 // All returns every alignment of pattern in text with its Hamming
 // distance: the answer when k >= len(pattern), where every alignment
 // trivially qualifies. pattern must be no longer than text.
-func All(text, pattern []byte) []Match {
-	m := len(pattern)
-	out := make([]Match, 0, len(text)-m+1)
-	for p := 0; p+m <= len(text); p++ {
-		out = append(out, Match{Pos: int32(p), Mismatches: naive.Hamming(text[p:p+m], pattern, m)})
+func All(text, pattern *alphabet.Packed) []Match {
+	m := pattern.Len()
+	out := make([]Match, 0, text.Len()-m+1)
+	for p := 0; p+m <= text.Len(); p++ {
+		out = append(out, Match{Pos: int32(p), Mismatches: text.Mismatches(p, pattern, m)})
 	}
 	return out
 }
 
-// Verify checks every candidate alignment start of pattern in text
-// (each must leave room for the whole pattern), with early exit after
-// k+1 mismatches, and returns the occurrences sorted by position.
-func Verify(text, pattern []byte, k int, candidates map[int32]struct{}) []Match {
-	m := len(pattern)
+// Verify checks candidate alignment starts of pattern in text, sorted
+// and without repeats, each leaving room for the whole pattern. It
+// counts mismatches word-parallel and stops a candidate once past k,
+// and returns the occurrences in position order.
+func Verify(text, pattern *alphabet.Packed, k int, candidates []int32) []Match {
 	out := make([]Match, 0, len(candidates))
-	for p := range candidates {
-		if d := naive.Hamming(text[p:int(p)+m], pattern, k); d <= k {
+	for _, p := range candidates {
+		if d := text.Mismatches(int(p), pattern, k); d <= k {
 			out = append(out, Match{Pos: p, Mismatches: d})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out
 }
 

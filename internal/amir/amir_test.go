@@ -17,9 +17,18 @@ func randomRanks(rng *rand.Rand, n int) []byte {
 	return t
 }
 
+func newMatcher(t testing.TB, text []byte) *Matcher {
+	t.Helper()
+	packed, err := alphabet.Pack(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(text, packed)
+}
+
 func checkAgainstNaive(t *testing.T, text, pattern []byte, k int) {
 	t.Helper()
-	got, st, err := New(text).Find(pattern, k)
+	got, st, err := newMatcher(t, text).Find(pattern, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestQuick(t *testing.T) {
 		}
 		k := int(k8) % 5
 		pattern := randomRanks(rng, m)
-		got, _, err := New(text).Find(pattern, k)
+		got, _, err := newMatcher(t, text).Find(pattern, k)
 		if err != nil {
 			return false
 		}
@@ -118,7 +127,7 @@ func TestQuick(t *testing.T) {
 
 func TestKAtLeastM(t *testing.T) {
 	text := []byte{1, 2, 3, 4, 1, 2}
-	got, _, err := New(text).Find([]byte{4, 4}, 2)
+	got, _, err := newMatcher(t, text).Find([]byte{4, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +137,7 @@ func TestKAtLeastM(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	m := New([]byte{1, 2, 3})
+	m := newMatcher(t, []byte{1, 2, 3})
 	if _, _, err := m.Find(nil, 1); err == nil {
 		t.Error("empty pattern accepted")
 	}
@@ -178,7 +187,7 @@ func TestSeedStatsPopulated(t *testing.T) {
 	p := 500
 	pattern := append([]byte(nil), text[p:p+40]...)
 	pattern[3] = byte(1 + rng.Intn(4))
-	_, st, err := New(text).Find(pattern, 2)
+	_, st, err := newMatcher(t, text).Find(pattern, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

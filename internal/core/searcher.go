@@ -199,7 +199,15 @@ func (s *Searcher) FindScratch(sc *Scratch, dst []Match, pattern []byte, k int, 
 	buf := sc.locBuf
 	m := len(pattern)
 	for _, lf := range leaves {
-		buf = s.idx.LocateTraced(lf.iv, buf[:0], tr)
+		var err error
+		buf, err = s.idx.LocateTraced(lf.iv, buf[:0], tr)
+		if err != nil {
+			sc.locBuf = buf
+			if tr != nil {
+				tr.End()
+			}
+			return dst, *stats, err
+		}
 		for _, p := range buf {
 			out = append(out, Match{Pos: int32(s.n) - p - int32(m), Mismatches: lf.mism})
 		}

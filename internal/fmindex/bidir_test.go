@@ -123,7 +123,7 @@ func TestBiLocateAgreement(t *testing.T) {
 	p := 123
 	pattern := text[p : p+10]
 	iv := bi.SearchOutward(pattern, 5)
-	pos := bi.Fwd().Locate(iv.Fwd, nil)
+	pos := mustLocate(t, bi.Fwd(), iv.Fwd)
 	found := false
 	for _, q := range pos {
 		if int(q) == p {

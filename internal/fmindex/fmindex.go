@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"bwtmatch/internal/alphabet"
@@ -424,22 +425,33 @@ func (idx *Index) lfStep(row int32) int32 {
 	return idx.c[x] + idx.flatOccAt(x, row)
 }
 
+// ErrLocate reports a Locate walk that took SARate-1 LF steps without
+// reaching a sampled row. Every text position divisible by SARate is
+// sampled, and so is position n, so a sound index never does this; it
+// is a fault in the rank layer or the samples.
+var ErrLocate = errors.New("fmindex: locate walk reached no sampled row")
+
 // Locate resolves every row of iv to a text position (the start of the
 // suffix in the indexed text), using the sampled suffix array: walk LF
 // until a marked row is hit. Results are appended to dst.
-func (idx *Index) Locate(iv Interval, dst []int32) []int32 {
+func (idx *Index) Locate(iv Interval, dst []int32) ([]int32, error) {
 	return idx.LocateTraced(iv, dst, nil)
 }
 
 // LocateTraced is Locate with telemetry: when tr is non-nil it emits one
 // EvLocate event per call carrying the number of rows resolved and the
 // total LF-mapping steps walked to reach sampled rows (the suffix-array
-// sampling cost the SARate option trades space against).
-func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) []int32 {
+// sampling cost the SARate option trades space against). A walk that
+// needs more than SARate-1 steps stops with ErrLocate.
+func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) ([]int32, error) {
 	var lf int64
+	last := int32(idx.opts.SARate) - 1
 	for row := iv.Lo; row < iv.Hi; row++ {
 		r, steps := row, int32(0)
 		for !idx.saMarked.Get(int(r)) {
+			if steps == last {
+				return dst, fmt.Errorf("%w: row %d after %d LF steps", ErrLocate, row, steps)
+			}
 			r = idx.lfStep(r)
 			steps++
 		}
@@ -451,7 +463,23 @@ func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) []int32 
 			obs.Arg{Key: "rows", Val: int64(iv.Len())},
 			obs.Arg{Key: "lf_steps", Val: lf})
 	}
-	return dst
+	return dst, nil
+}
+
+// WithoutSample returns a copy of idx that has lost the Locate sample
+// of one row and shares every other structure: a corrupt index that no
+// loader accepts, for fault tests of the layers above. A Locate walk
+// through that row must end in ErrLocate, not loop.
+func (idx *Index) WithoutSample(row int32) *Index {
+	c := *idx
+	marks := bitvec.FromWords(slices.Clone(idx.saMarked.Words()), idx.saMarked.Len())
+	marks.Clear(int(row))
+	c.saMarked = bitvec.NewRank(marks)
+	if idx.saMarked.Get(int(row)) {
+		j := idx.saMarked.Rank1(int(row))
+		c.saSamples = slices.Delete(slices.Clone(idx.saSamples), j, j+1)
+	}
+	return &c
 }
 
 // BWT returns a fresh copy of the BWT array (rank-encoded, including

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,6 +11,15 @@ import (
 
 	"bwtmatch/internal/alphabet"
 )
+
+func mustLocate(t testing.TB, idx *Index, iv Interval) []int32 {
+	t.Helper()
+	pos, err := idx.Locate(iv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pos
+}
 
 func mustEncode(t testing.TB, s string) []byte {
 	t.Helper()
@@ -86,7 +96,7 @@ func TestPaperSearchExample(t *testing.T) {
 	if iv.Len() != 2 {
 		t.Fatalf("Count(aca) = %d, want 2", iv.Len())
 	}
-	pos := idx.Locate(iv, nil)
+	pos := mustLocate(t, idx, iv)
 	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
 	if len(pos) != 2 || pos[0] != 0 || pos[1] != 4 {
 		t.Fatalf("Locate = %v, want [0 4]", pos)
@@ -110,6 +120,41 @@ func TestCountAgainstNaive(t *testing.T) {
 	}
 }
 
+// TestLocateBounded clears one sample mark, as a fault in the rank
+// layer or the samples would lose it: every walk still resolves or
+// stops with ErrLocate, and the walk that needed the lost sample stops
+// after SARate-1 steps instead of walking on.
+func TestLocateBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	text := make([]byte, 500)
+	for i := range text {
+		text[i] = byte(1 + rng.Intn(4))
+	}
+	idx, err := Build(text, Options{SARate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Interval{Lo: 0, Hi: int32(idx.n + 1)}
+	pos := mustLocate(t, idx, all)
+	// The row of text position 240, a sampled one with a sample 8 below.
+	row := int32(slices.Index(pos, 240))
+	if !idx.saMarked.Get(int(row)) {
+		t.Fatalf("row %d of position 240 is not sampled", row)
+	}
+	broken := idx.WithoutSample(row)
+	if _, err := broken.Locate(Interval{Lo: row, Hi: row + 1}, nil); !errors.Is(err, ErrLocate) {
+		t.Fatalf("Locate through the lost sample: err %v, want ErrLocate", err)
+	}
+	if _, err := broken.Locate(all, nil); !errors.Is(err, ErrLocate) {
+		t.Fatalf("Locate over every row: err %v, want ErrLocate", err)
+	}
+	// Rows that reach another sample first still resolve.
+	other := int32(slices.Index(pos, 239))
+	if got, err := broken.Locate(Interval{Lo: other, Hi: other + 1}, nil); err != nil || got[0] != 239 {
+		t.Fatalf("Locate of position 239 = %v, %v", got, err)
+	}
+}
+
 func TestLocateAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -120,7 +165,7 @@ func TestLocateAgainstNaive(t *testing.T) {
 		}
 		for q := 0; q < 20; q++ {
 			pat := randomRanks(rng, 1+rng.Intn(6))
-			got := idx.Locate(idx.Search(pat), nil)
+			got := mustLocate(t, idx, idx.Search(pat))
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			want := naivePositions(text, pat)
 			if len(got) != len(want) {

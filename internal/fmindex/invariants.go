@@ -133,7 +133,10 @@ func (idx *Index) CheckAgainstText(text []byte) error {
 	probe := func(pos, length int) error {
 		pat := text[pos : pos+length]
 		iv := idx.Search(pat)
-		locs := idx.Locate(iv, nil)
+		locs, err := idx.Locate(iv, nil)
+		if err != nil {
+			return err
+		}
 		if len(locs) != iv.Len() {
 			return fmt.Errorf("fmindex: Locate yielded %d positions for %d rows", len(locs), iv.Len())
 		}

@@ -84,7 +84,7 @@ func TestMEMsProperties(t *testing.T) {
 				t.Fatalf("MEM at %d extendable left", mem.Start)
 			}
 			// Locating the interval must yield genuine occurrences.
-			pos := bi.Fwd().Locate(mem.Iv.Fwd, nil)
+			pos := mustLocate(t, bi.Fwd(), mem.Iv.Fwd)
 			if len(pos) == 0 {
 				t.Fatalf("MEM with no occurrences")
 			}

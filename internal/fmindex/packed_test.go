@@ -73,8 +73,8 @@ func TestPackedIndexEquivalence(t *testing.T) {
 			if ivD != ivR {
 				t.Fatalf("rate %d: Search(%v): %v vs %v", rate, pat, ivD, ivR)
 			}
-			a := dense.Locate(ivD, nil)
-			b := idx.Locate(ivR, nil)
+			a := mustLocate(t, dense, ivD)
+			b := mustLocate(t, idx, ivR)
 			if len(a) != len(b) {
 				t.Fatalf("rate %d: Locate counts differ: %d vs %d", rate, len(a), len(b))
 			}

@@ -164,8 +164,8 @@ func TestRelativeMatchesStandalone(t *testing.T) {
 			if gotIv != wantIv {
 				t.Fatalf("Search(%v): relative %v, standalone %v", pat, gotIv, wantIv)
 			}
-			got := rel.Locate(gotIv, nil)
-			want := tenant.Locate(wantIv, nil)
+			got := mustLocate(t, rel, gotIv)
+			want := mustLocate(t, tenant, wantIv)
 			if len(got) != len(want) {
 				t.Fatalf("Locate count %d vs %d", len(got), len(want))
 			}

@@ -337,8 +337,11 @@ func (idx *Index) verifyCArray(counts [alphabet.Size]int32) error {
 
 // verifySASamples checks that the LF mapping, computed by one sequential
 // scan of the materialized BWT, traces a single cycle visiting every row
-// exactly once, and that the text position recovered at each marked row
-// equals the stored sample.
+// exactly once, that the text position recovered at each marked row
+// equals the stored sample, and that the sampled positions leave no
+// gap Locate cannot cross: position 0 is sampled, and so is one within
+// SARate of every sampled position and of the text's end. Then every
+// Locate walk of the loaded index meets a sample within SARate-1 steps.
 func (idx *Index) verifySASamples(bwt []byte) error {
 	rows := idx.n + 1
 	if idx.saMarked.Len() != rows {
@@ -359,7 +362,8 @@ func (idx *Index) verifySASamples(bwt []byte) error {
 		running[ch]++
 	}
 	visited := bitvec.New(rows)
-	row := int32(0) // row 0 holds the bare-sentinel suffix, text position n
+	sampled := idx.n + 1 // the last sampled position the walk passed
+	row := int32(0)      // row 0 holds the bare-sentinel suffix, text position n
 	for pos := idx.n; ; pos-- {
 		if visited.Get(int(row)) {
 			return fmt.Errorf("LF cycle revisits row %d with %d positions left", row, pos+1)
@@ -369,6 +373,10 @@ func (idx *Index) verifySASamples(bwt []byte) error {
 			if got := idx.saSamples[idx.saMarked.Rank1(int(row))]; got != int32(pos) {
 				return fmt.Errorf("SA sample at row %d = %d, LF walk says %d", row, got, pos)
 			}
+			if sampled-pos > idx.opts.SARate {
+				return fmt.Errorf("SA samples at positions %d and %d, more than SA rate %d apart", pos, sampled, idx.opts.SARate)
+			}
+			sampled = pos
 		}
 		if pos == 0 {
 			break
@@ -377,6 +385,9 @@ func (idx *Index) verifySASamples(bwt []byte) error {
 	}
 	if lf[row] != 0 {
 		return fmt.Errorf("LF walk ends at row %d, not the sentinel row", lf[row])
+	}
+	if sampled != 0 {
+		return fmt.Errorf("text position 0 is not sampled")
 	}
 	return nil
 }

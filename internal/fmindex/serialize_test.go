@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"bwtmatch/internal/alphabet"
@@ -43,8 +45,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 		}
 		for q := 0; q < 30; q++ {
 			pat := randomRanks(rng, 1+rng.Intn(10))
-			a := idx.Locate(idx.Search(pat), nil)
-			b := got.Locate(got.Search(pat), nil)
+			a := mustLocate(t, idx, idx.Search(pat))
+			b := mustLocate(t, got, got.Search(pat))
 			if len(a) != len(b) {
 				t.Fatalf("Locate count differs after round trip")
 			}
@@ -104,6 +106,40 @@ func TestSerializeRejectsTruncated(t *testing.T) {
 	for _, cut := range []int{1, 8, 20, len(full) / 2, len(full) - 1} {
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestSerializeRejectsSampleGap pins the loader's Locate bound: an
+// index whose sampled positions lie further apart than its SA rate
+// would let a Locate walk run past SARate-1 steps, so it does not load.
+// Here the samples sit every 8 positions under a header rate of 4, and
+// then every 4 positions with position 0's sample lost.
+func TestSerializeRejectsSampleGap(t *testing.T) {
+	text := randomRanks(rand.New(rand.NewSource(143)), 300)
+	sparse, err := Build(text, Options{SARate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse.opts.SARate = 4
+	dense, err := Build(text, Options{SARate: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := mustLocate(t, dense, Interval{Lo: 0, Hi: int32(dense.n + 1)})
+	for _, c := range []struct {
+		idx  *Index
+		want string
+	}{
+		{sparse, "more than SA rate 4 apart"},
+		{dense.WithoutSample(int32(slices.Index(pos, 0))), "position 0 is not sampled"},
+	} {
+		var buf bytes.Buffer
+		if _, err := c.idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIndex(&buf); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadIndex err %v, want ErrFormat for %q", err, c.want)
 		}
 	}
 }

@@ -15,7 +15,10 @@ package seedext
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 
+	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/amir"
 	"bwtmatch/internal/fmindex"
 )
@@ -32,37 +35,43 @@ type (
 // serves both algorithms).
 type Matcher struct {
 	idx  *fmindex.Index
-	text []byte // forward target, rank-encoded
+	text *alphabet.Packed // forward target, 2 bits per base
 }
 
 // ErrPattern reports an unusable pattern.
 var ErrPattern = errors.New("seedext: invalid pattern")
 
-// New wraps an index over reverse(text) together with the forward text.
-func New(idx *fmindex.Index, text []byte) *Matcher {
+// New wraps an index over reverse(text) together with the forward
+// text, packed.
+func New(idx *fmindex.Index, text *alphabet.Packed) *Matcher {
 	return &Matcher{idx: idx, text: text}
 }
 
-// Find returns all k-mismatch occurrences of pattern, sorted by position.
+// Find returns all k-mismatch occurrences of pattern, sorted by
+// position. An error other than ErrPattern is a Locate fault of the
+// index.
 func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 	var st Stats
-	m, n := len(pattern), len(s.text)
+	m, n := len(pattern), s.text.Len()
 	if m == 0 || k < 0 {
 		return nil, st, ErrPattern
 	}
 	if m > n {
 		return nil, st, nil
 	}
+	pat, err := alphabet.Pack(pattern)
+	if err != nil {
+		return nil, st, fmt.Errorf("%w: %v", ErrPattern, err)
+	}
 	if k >= m {
-		out := amir.All(s.text, pattern)
+		out := amir.All(s.text, pat)
 		st.Matches = len(out)
 		return out, st, nil
 	}
 
 	offsets := amir.Breaks(pattern, k)
 	st.Blocks = len(offsets)
-	candidates := make(map[int32]struct{})
-	var buf []int32
+	var candidates, buf []int32
 	for i, off := range offsets {
 		end := m
 		if i+1 < len(offsets) {
@@ -72,7 +81,9 @@ func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 		if iv.Empty() {
 			continue
 		}
-		buf = s.idx.Locate(iv, buf[:0])
+		if buf, err = s.idx.Locate(iv, buf[:0]); err != nil {
+			return nil, st, err
+		}
 		blockLen := end - off
 		for _, p := range buf {
 			st.Seeds++
@@ -81,12 +92,14 @@ func (s *Matcher) Find(pattern []byte, k int) ([]Match, Stats, error) {
 			fwd := int32(n) - p - int32(blockLen)
 			start := fwd - int32(off)
 			if start >= 0 && int(start)+m <= n {
-				candidates[start] = struct{}{}
+				candidates = append(candidates, start)
 			}
 		}
 	}
 
-	out := amir.Verify(s.text, pattern, k, candidates)
+	slices.Sort(candidates)
+	candidates = slices.Compact(candidates)
+	out := amir.Verify(s.text, pat, k, candidates)
 	st.Candidates, st.Matches = len(candidates), len(out)
 	return out, st, nil
 }

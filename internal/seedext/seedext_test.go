@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/fmindex"
 	"bwtmatch/internal/naive"
 )
@@ -27,7 +28,11 @@ func newMatcher(t testing.TB, text []byte) *Matcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(idx, text)
+	packed, err := alphabet.Pack(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(idx, packed)
 }
 
 func checkAgainstNaive(t *testing.T, s *Matcher, text, pattern []byte, k int) {
@@ -107,15 +112,7 @@ func TestQuick(t *testing.T) {
 		}
 		k := int(k8) % 4
 		pattern := randomRanks(rng, m)
-		rev := make([]byte, len(text))
-		for i, b := range text {
-			rev[len(text)-1-i] = b
-		}
-		idx, err := fmindex.Build(rev, fmindex.DefaultOptions())
-		if err != nil {
-			return false
-		}
-		got, _, err := New(idx, text).Find(pattern, k)
+		got, _, err := newMatcher(t, text).Find(pattern, k)
 		if err != nil {
 			return false
 		}

@@ -92,7 +92,10 @@ func (w *Matcher) Find(pattern []byte, wildcard byte) ([]int32, error) {
 	seg := segs[bestIdx]
 	segLen := seg.end - seg.off
 	var out []int32
-	buf := w.idx.Locate(bestIv, nil)
+	buf, err := w.idx.Locate(bestIv, nil)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range buf {
 		fwd := int32(n) - p - int32(segLen)
 		start := fwd - int32(seg.off)

@@ -120,8 +120,12 @@ func (x *Index) SearchRefs(pattern []byte, k int) ([]RefMatch, error) {
 	return out, nil
 }
 
-// RefSeq returns a decoded copy of one reference's sequence.
+// RefSeq returns a decoded copy of one reference's sequence, or nil if
+// a relative tenant cannot rebuild its text.
 func (x *Index) RefSeq(r Ref) []byte {
-	text := x.targetText()
-	return alphabet.Decode(text[r.Start : r.Start+r.Len])
+	text, err := x.packedText()
+	if err != nil {
+		return nil
+	}
+	return alphabet.Decode(text.Slice(nil, r.Start, r.Start+r.Len))
 }

@@ -64,7 +64,7 @@ func NewRelative(base *Index, target []byte, opts ...Option) (*RelativeIndex, er
 	if err != nil {
 		return nil, err
 	}
-	return relativize(base, &Index{text: ranks, searcher: searcher}, nil)
+	return relativize(base, &Index{searcher: searcher}, nil)
 }
 
 // NewRelativeRefs is NewRelative over multiple named references (the
@@ -106,28 +106,33 @@ func relativize(base, tenant *Index, refs []Ref) (*RelativeIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner := &Index{
-		searcher: core.NewSearcherFromIndex(relFm, tenant.Len()),
-		refs:     refs,
-	}
-	inner.textFn = func() []byte { return reconstructTarget(relFm) }
 	return &RelativeIndex{
-		Index:  inner,
+		Index:  tenantIndex(relFm, refs),
 		base:   base,
 		baseFP: baseFm.Fingerprint(),
 	}, nil
 }
 
-// reconstructTarget rebuilds the forward rank-encoded target from an
-// index built over its reverse. A verified index cannot fail the LF
-// walk; a nil return only arises from memory corruption and surfaces
-// as ErrInput in the text-path baselines.
-func reconstructTarget(fm *fmindex.Index) []byte {
+// tenantIndex wraps a relative fmindex in a public Index whose text is
+// rebuilt, packed, on first use.
+func tenantIndex(relFm *fmindex.Index, refs []Ref) *Index {
+	return &Index{
+		searcher: core.NewSearcherFromIndex(relFm, relFm.N()),
+		refs:     refs,
+		textFn:   func() (*alphabet.Packed, error) { return reconstructTarget(relFm) },
+	}
+}
+
+// reconstructTarget rebuilds the forward target, packed, from an index
+// built over its reverse. A verified index cannot fail the LF walk; an
+// error only arises from memory corruption and surfaces from the text
+// paths.
+func reconstructTarget(fm *fmindex.Index) (*alphabet.Packed, error) {
 	rev, err := fm.ReconstructText()
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return alphabet.Reverse(rev)
+	return alphabet.Pack(alphabet.Reverse(rev))
 }
 
 // Base returns the shared base index.

@@ -237,7 +237,7 @@ func TestRelativeFixtureLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(rel.targetText(), text) {
+	if got, err := rel.packedText(); err != nil || !bytes.Equal(got.Unpack(), text) {
 		t.Fatal("tenant fixture rebuilds a different target")
 	}
 	for q := 0; q < 40; q++ {

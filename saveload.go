@@ -31,15 +31,14 @@ func (x *Index) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, fileMagic); err != nil {
 		return err
 	}
-	text := x.targetText()
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(text))); err != nil {
-		return err
-	}
-	packed, err := alphabet.Pack(text)
+	text, err := x.packedText()
 	if err != nil {
 		return err
 	}
-	words := packed.Words()
+	if err := binary.Write(bw, binary.LittleEndian, uint64(text.Len())); err != nil {
+		return err
+	}
+	words := text.Words()
 	if err := binary.Write(bw, binary.LittleEndian, uint64(len(words))); err != nil {
 		return err
 	}
@@ -146,14 +145,17 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	const maxLen = 1 << 34
-	if n > maxLen || words > maxLen || words*32 < n {
+	if n > maxLen || words > maxLen || words != (n+alphabet.CodesPerWord-1)/alphabet.CodesPerWord {
 		return nil, fmt.Errorf("%w: text %d bases in %d words", ErrFormat, n, words)
 	}
 	payload, err := binio.ReadSlice[uint64](br, words)
 	if err != nil {
 		return nil, fmt.Errorf("%w: text payload: %v", ErrFormat, err)
 	}
-	text := alphabet.FromWords(payload, int(n)).Unpack()
+	text, err := alphabet.FromWords(payload, int(n))
+	if err != nil {
+		return nil, fmt.Errorf("%w: text payload: %v", ErrFormat, err)
+	}
 	refs, err := readRefTable(br, n)
 	if err != nil {
 		return nil, err

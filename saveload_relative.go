@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"bwtmatch/internal/core"
 	"bwtmatch/internal/fmindex"
 )
 
@@ -179,13 +178,8 @@ func LoadRelative(r io.Reader, base *Index) (*RelativeIndex, error) {
 	if relFm.N() != hdr.Len {
 		return nil, fmt.Errorf("%w: header says %d bases but delta is over %d", ErrFormat, hdr.Len, relFm.N())
 	}
-	inner := &Index{
-		searcher: core.NewSearcherFromIndex(relFm, hdr.Len),
-		refs:     refs,
-	}
-	inner.textFn = func() []byte { return reconstructTarget(relFm) }
 	return &RelativeIndex{
-		Index:    inner,
+		Index:    tenantIndex(relFm, refs),
 		base:     base,
 		baseFP:   hdr.BaseFingerprint,
 		basePath: hdr.BasePath,

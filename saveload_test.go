@@ -2,10 +2,11 @@ package bwtmatch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
-
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -163,5 +164,59 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			}()
 			Load(bytes.NewReader(c))
 		}()
+	}
+}
+
+// nonCanonicalText rewrites the text payload of a saved index whose
+// length is not a multiple of 32 into one of the two encodings Load
+// rejects: with an extra (zero) word, or with a nonzero bit past the
+// last base.
+func nonCanonicalText(valid []byte, extraWord bool) []byte {
+	const countAt, payloadAt = 12, 20
+	words := binary.LittleEndian.Uint64(valid[countAt:])
+	end := payloadAt + 8*int(words)
+	c := append([]byte(nil), valid[:end]...)
+	if extraWord {
+		binary.LittleEndian.PutUint64(c[countAt:], words+1)
+		c = append(c, make([]byte, 8)...)
+	} else {
+		c[end-1] |= 0x80 // bit 63 of the last word, past its n%32 bases
+	}
+	return append(c, valid[end:]...)
+}
+
+// TestLoadRejectsNonCanonicalText pins the loader's text payload
+// rules: exactly ⌈n/32⌉ words, and zero bits past base n. A loaded
+// index then holds no more than 0.25 B/base of text and re-saves
+// byte-identically.
+func TestLoadRejectsNonCanonicalText(t *testing.T) {
+	idx, err := New(randomDNA(rand.New(rand.NewSource(155)), 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	for extra, why := range map[bool]string{true: "1000 bases in 33 words", false: "nonzero padding"} {
+		data := nonCanonicalText(valid, extra)
+		if bytes.Equal(data, valid) {
+			t.Fatal("crafted container equals the valid one")
+		}
+		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), why) {
+			t.Errorf("extra word %v: Load error %v, want ErrFormat for %q", extra, err, why)
+		}
+	}
+	loaded, err := Load(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), valid) {
+		t.Error("a loaded index does not re-save byte-identically")
 	}
 }

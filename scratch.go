@@ -109,13 +109,18 @@ func (x *Index) search(sc *Scratch, dst []Match, p []byte, k int, method Method,
 }
 
 // searchBaseline runs one of the methods off the BWT path and appends
-// its matches to dst in position order. The text-scanning matchers
-// build lazily on first use.
+// its matches to dst in position order. Seed reads the packed text; the
+// text-scanning matchers build lazily on first use, over the shared
+// rank copy.
 func (x *Index) searchBaseline(dst []core.Match, p []byte, k int, method Method) ([]core.Match, Stats, error) {
 	var st Stats
 	switch method {
 	case Amir:
-		x.amirOnce.Do(func() { x.amirM = amir.New(x.targetText()) })
+		text, err := x.rankText()
+		if err != nil {
+			return dst, st, err
+		}
+		x.amirOnce.Do(func() { x.amirM = amir.New(text, x.text) })
 		ms, as, err := x.amirM.Find(p, k)
 		if err != nil {
 			return dst, st, fmt.Errorf("%w: %v", ErrInput, err)
@@ -125,29 +130,40 @@ func (x *Index) searchBaseline(dst []core.Match, p []byte, k int, method Method)
 			dst = append(dst, core.Match{Pos: m.Pos, Mismatches: m.Mismatches})
 		}
 	case Cole:
-		x.coleOnce.Do(func() { x.coleTree, x.coleErr = suffixtree.Build(x.targetText()) })
+		text, err := x.rankText()
+		if err != nil {
+			return dst, st, err
+		}
+		x.coleOnce.Do(func() { x.coleTree, x.coleErr = suffixtree.Build(text) })
 		if x.coleErr != nil {
 			return dst, st, x.coleErr
 		}
 		pos, visited := x.coleTree.FindK(p, k)
 		st.Visited = visited
 		slices.Sort(pos)
-		text := x.targetText()
 		for _, q := range pos {
 			dst = append(dst, core.Match{Pos: q, Mismatches: naive.Hamming(text[q:int(q)+len(p)], p, len(p))})
 		}
 	case Seed:
-		x.seedOnce.Do(func() { x.seedM = seedext.New(x.searcher.Index(), x.targetText()) })
+		text, err := x.packedText()
+		if err != nil {
+			return dst, st, err
+		}
+		x.seedOnce.Do(func() { x.seedM = seedext.New(x.searcher.Index(), text) })
 		ms, ss, err := x.seedM.Find(p, k)
 		if err != nil {
-			return dst, st, fmt.Errorf("%w: %v", ErrInput, err)
+			return dst, st, err // p is valid, so this is a Locate fault
 		}
 		st.Candidates = ss.Candidates
 		for _, m := range ms {
 			dst = append(dst, core.Match{Pos: m.Pos, Mismatches: m.Mismatches})
 		}
 	case Online:
-		lv := naive.NewLandauVishkin(x.targetText(), p)
+		text, err := x.rankText()
+		if err != nil {
+			return dst, st, err
+		}
+		lv := naive.NewLandauVishkin(text, p)
 		for _, q := range lv.Find(k) {
 			dst = append(dst, core.Match{Pos: q, Mismatches: lv.Mismatches(int(q), k)})
 		}

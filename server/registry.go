@@ -67,8 +67,8 @@ type Registry struct {
 }
 
 // NewRegistry creates a registry with the given byte budget (0 for
-// unlimited). The budget counts index structures plus the packed text,
-// as reported by Index.SizeBytes and Index.Len.
+// unlimited). The budget counts index structures plus the packed text:
+// Index.ResidentBytes for a standalone index.
 func NewRegistry(budget int64) *Registry {
 	return &Registry{
 		budget:  budget,
@@ -77,19 +77,19 @@ func NewRegistry(budget int64) *Registry {
 	}
 }
 
-// indexBytes estimates the resident cost of one index. A sharded
-// index's SizeBytes already includes each shard's packed text, so
-// adding Len would double-count; the monolithic SizeBytes excludes the
-// text, so its cost is SizeBytes plus Len. A relative tenant is charged
-// only its delta — the shared base is accounted once, in its baseEntry.
+// indexBytes estimates the resident cost of one index. A standalone
+// index is charged ResidentBytes, its structures plus its packed text.
+// A sharded index's SizeBytes already sums each shard's ResidentBytes.
+// A relative tenant is charged only its delta — the shared base is
+// accounted once, in its baseEntry.
 func indexBytes(idx bwtmatch.Matcher) int64 {
 	switch x := idx.(type) {
-	case *bwtmatch.ShardedIndex:
-		return int64(x.SizeBytes())
+	case *bwtmatch.Index:
+		return int64(x.ResidentBytes())
 	case *bwtmatch.RelativeIndex:
 		return int64(x.DeltaBytes())
 	}
-	return int64(idx.SizeBytes()) + int64(idx.Len())
+	return int64(idx.SizeBytes())
 }
 
 // retainBaseLocked records a relative tenant's hold on its shared base,

@@ -29,15 +29,18 @@ func buildSharded(t *testing.T, seed int64, bases, shards, maxPat int) *bwtmatch
 
 // TestRegistryShardedCost pins the double-count hazard: a sharded
 // index's SizeBytes already includes its packed text, so the registry
-// must not add Len again the way it does for monolithic indexes.
+// must not add it again the way it does for monolithic indexes.
 func TestRegistryShardedCost(t *testing.T) {
 	sx := buildSharded(t, 11, 3000, 3, 32)
 	if got := indexBytes(sx); got != int64(sx.SizeBytes()) {
 		t.Errorf("sharded cost %d, want SizeBytes alone (%d)", got, sx.SizeBytes())
 	}
 	mono := buildIndex(t, 11, 3000)
-	if got := indexBytes(mono); got != int64(mono.SizeBytes())+int64(mono.Len()) {
-		t.Errorf("monolithic cost %d, want SizeBytes+Len", got)
+	if got := indexBytes(mono); got != int64(mono.ResidentBytes()) {
+		t.Errorf("monolithic cost %d, want ResidentBytes (%d)", got, mono.ResidentBytes())
+	}
+	if text := mono.ResidentBytes() - mono.SizeBytes(); text != (3000+31)/32*8 {
+		t.Errorf("monolithic text charged %d bytes, want the packed %d", text, (3000+31)/32*8)
 	}
 }
 

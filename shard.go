@@ -73,7 +73,7 @@ func (ls *lazyShard) get() (*Index, error) {
 		if ls.load != nil {
 			ls.idx, ls.err = ls.load()
 			if ls.err == nil {
-				ls.bytes.Store(indexResidentBytes(ls.idx))
+				ls.bytes.Store(int64(ls.idx.ResidentBytes()))
 			}
 		}
 		ls.ready.Store(ls.err == nil && ls.idx != nil)
@@ -196,7 +196,7 @@ func newSharded(target []byte, refs []Ref, opts []Option) (*ShardedIndex, error)
 				ls.span = sp
 				ls.idx, ls.err = New(target[sp.Start:sp.End], fmOpt)
 				if ls.err == nil {
-					ls.bytes.Store(indexResidentBytes(ls.idx))
+					ls.bytes.Store(int64(ls.idx.ResidentBytes()))
 					ls.ready.Store(true)
 				}
 			}
@@ -209,12 +209,6 @@ func newSharded(target []byte, refs []Ref, opts []Option) (*ShardedIndex, error)
 		}
 	}
 	return x, nil
-}
-
-// indexResidentBytes estimates one shard's resident cost: the FM-index
-// structures plus the retained rank-encoded text.
-func indexResidentBytes(idx *Index) int64 {
-	return int64(idx.SizeBytes()) + int64(idx.Len())
 }
 
 func refsToShard(refs []Ref) []shard.Ref {
@@ -436,15 +430,10 @@ func (x *ShardedIndex) CheckInvariants() error {
 			continue
 		}
 		// The tail of shard i-1 past this shard's start must equal this
-		// shard's head byte for byte: both index the same target bytes.
-		ovLen := prev.span.End - ls.span.Start
-		if ovLen <= 0 {
-			continue
-		}
-		a := prev.idx.text[ls.span.Start-prev.span.Start:]
-		b := ls.idx.text[:ovLen]
-		for j := range b {
-			if a[j] != b[j] {
+		// shard's head base for base: both index the same target bases.
+		off := ls.span.Start - prev.span.Start
+		for j := 0; j < prev.span.End-ls.span.Start; j++ {
+			if prev.idx.text.Get(off+j) != ls.idx.text.Get(j) {
 				return fmt.Errorf("bwtmatch: shards %d/%d disagree at global position %d",
 					i-1, i, ls.span.Start+j)
 			}

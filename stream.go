@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 
 	"bwtmatch/internal/alphabet"
-	"bwtmatch/internal/core"
-	"bwtmatch/internal/fmindex"
 	"bwtmatch/internal/shard"
 )
 
@@ -166,7 +164,7 @@ func (b *StreamBuilder) Write(seq []byte) (int, error) {
 // length-prefixed payload frame to the spill file.
 func (b *StreamBuilder) flushShard(ranks []byte) error {
 	span := shard.Span{Start: b.start, End: b.start + len(ranks)}
-	idx, err := newShardIndex(ranks, b.cfg.fm)
+	idx, err := newIndex(ranks, b.cfg.fm)
 	if err != nil {
 		return fmt.Errorf("bwtmatch: building shard %d: %w", len(b.spans), err)
 	}
@@ -182,20 +180,6 @@ func (b *StreamBuilder) flushShard(ranks []byte) error {
 	}
 	b.spans = append(b.spans, span)
 	return nil
-}
-
-// newShardIndex builds a monolithic Index directly over rank-encoded
-// text. The streaming builder's window is reused across shards, so the
-// index takes a private copy (New has the same property: its encode
-// allocates).
-func newShardIndex(ranks []byte, fm fmindex.Options) (*Index, error) {
-	own := make([]byte, len(ranks))
-	copy(own, ranks)
-	searcher, err := core.NewSearcher(own, fm)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{text: own, searcher: searcher}, nil
 }
 
 // Close flushes the trailing shards, writes the manifest, and assembles
@@ -427,7 +411,7 @@ func OpenAppend(path string, opts ...Option) (*StreamBuilder, error) {
 			return fail(fmt.Errorf("%w: shard %d payload holds %d bases for span [%d,%d)",
 				ErrFormat, cut, idx.Len(), sp.Start, sp.End))
 		}
-		b.buf = append(b.buf, idx.text...)
+		b.buf = idx.text.Slice(b.buf, 0, idx.Len())
 		b.start = sp.Start
 	} else {
 		b.start = oldTotal
