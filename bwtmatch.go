@@ -144,6 +144,10 @@ type Index struct {
 // ErrInput reports unusable target or pattern data.
 var ErrInput = errors.New("bwtmatch: invalid input")
 
+// ErrBaseOnly reports a search, save or text read on a base-only index
+// (BaseOnly), which keeps only what its relative tenants read.
+var ErrBaseOnly = errors.New("bwtmatch: base-only index serves only as the base of relative tenants")
+
 // New builds an index over a DNA target (bytes over acgtACGT; see
 // Sanitize for dirty inputs). Options configure space/time trade-offs.
 func New(target []byte, opts ...Option) (*Index, error) {
@@ -183,11 +187,28 @@ func Sanitize(seq []byte) ([]byte, int) { return alphabet.Sanitize(seq) }
 // Len returns the target length.
 func (x *Index) Len() int { return x.searcher.N() }
 
+// BaseOnly returns a copy of x that keeps only what a relative tenant
+// reads of its base: the 2-bit BWT, the occ checkpoints and the C
+// array, shared with x. It holds no text, no Locate samples and no
+// reference table, and it serves only as the base of relative tenants
+// (NewRelative, LoadRelative): every search, Save and text scan
+// returns ErrBaseOnly, and RefSeq returns nil. LoadRelativeFile
+// resolves a container's base path hint to one.
+func (x *Index) BaseOnly() *Index {
+	return &Index{searcher: core.NewSearcherFromIndex(x.searcher.Index().RankOnly(), x.Len())}
+}
+
+// baseOnly reports whether x is a BaseOnly copy.
+func (x *Index) baseOnly() bool { return x.searcher.Index().IsRankOnly() }
+
 // packedText returns the 2-bit target, reconstructing it on first use
 // for layouts that do not keep the text resident (the relative layout
 // rebuilds it from the BWT via one LF walk). The BWT search paths never
 // call this; Seed, Save, RefSeq and the text-scanning methods do.
 func (x *Index) packedText() (*alphabet.Packed, error) {
+	if x.baseOnly() {
+		return nil, ErrBaseOnly
+	}
 	if x.textFn != nil {
 		x.textOnce.Do(func() { x.text, x.textErr = x.textFn() })
 	}
@@ -213,9 +234,14 @@ func (x *Index) SizeBytes() int { return x.searcher.Index().SizeBytes() }
 // ResidentBytes is the resident cost of a standalone index: the BWT
 // structures (SizeBytes) plus the packed target text, 0.25 B/base. The
 // rank copy the off-path methods decode on first use is not counted. A
-// relative tenant rebuilds its text only when a text path needs it;
-// its cost is DeltaBytes, and its base is counted once, by the holder.
+// BaseOnly index holds no text and no Locate samples, so it costs its
+// 2-bit BWT and occ checkpoints alone. A relative tenant rebuilds its
+// text only when a text path needs it; its cost is DeltaBytes, and its
+// base is counted once, by the holder.
 func (x *Index) ResidentBytes() int {
+	if x.baseOnly() {
+		return x.SizeBytes()
+	}
 	return x.SizeBytes() + (x.Len()+alphabet.CodesPerWord-1)/alphabet.CodesPerWord*8
 }
 
@@ -356,6 +382,9 @@ func (x *Index) SearchEdits(pattern []byte, k int) ([]EditMatch, error) {
 // without locating occurrences (used by the Table 2 reproduction).
 // It validates the query as Search does.
 func (x *Index) MTreeLeaves(pattern []byte, k int) (int, error) {
+	if x.baseOnly() {
+		return 0, ErrBaseOnly
+	}
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
 	p, err := sc.encode(pattern, k)

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,8 +39,14 @@ func TestRelativeSmoke(t *testing.T) {
 	reads := filepath.Join(work, "reads.fq")
 
 	// Base genome plus its monolithic index in one kmgen call.
+	const baseBases = 32768
 	run(t, filepath.Join(bins, "kmgen"),
-		"-genome", baseFA, "-bases", "32768", "-seed", "7", "-index", baseKM)
+		"-genome", baseFA, "-bases", strconv.Itoa(baseBases), "-seed", "7", "-index", baseKM)
+	// The servers below resolve the base from the containers' path hint
+	// and keep its 2-bit BWT and occ checkpoints (four int32 counts per
+	// 32 rows) alone; that is what they charge for it.
+	rows := baseBases + 1
+	baseCharge := strconv.Itoa((rows+31)/32*8 + (rows/32+1)*4*4)
 
 	// Three tenant genomes, each the base at ~1% substitution divergence,
 	// and a relative container for each against the shared base.
@@ -52,8 +59,9 @@ func TestRelativeSmoke(t *testing.T) {
 		out := run(t, filepath.Join(bins, "kmgen"),
 			"-index", tenantKMs[i], "-from", tenantFAs[i],
 			"-relative", "-base", baseKM)
-		if !strings.Contains(out, "built relative index against") {
-			t.Fatalf("kmgen relative output: %s", out)
+		if !strings.Contains(out, "built relative index against") ||
+			!strings.Contains(out, "("+baseCharge+" base-index bytes shared)") {
+			t.Fatalf("kmgen relative output, want a %s-byte base share: %s", baseCharge, out)
 		}
 	}
 
@@ -113,13 +121,22 @@ func TestRelativeSmoke(t *testing.T) {
 			t.Fatalf("tenants disagree on base fingerprint: %s", list)
 		}
 	}
+	shared := regexp.MustCompile(`"shared_base_bytes":(\d+)`).FindAllStringSubmatch(list, -1)
+	if len(shared) != 3 {
+		t.Fatalf("want shared_base_bytes on 3 tenants, got %d: %s", len(shared), list)
+	}
+	for _, m := range shared {
+		if m[1] != baseCharge {
+			t.Fatalf("shared_base_bytes %s, want the base's BWT plus checkpoints %s: %s", m[1], baseCharge, list)
+		}
+	}
 
 	metrics := getBody(t, base+"/metrics")
 	if !strings.Contains(metrics, `km_relative_tenants{base="`+fps[0][1]+`"} 3`) {
 		t.Errorf("missing km_relative_tenants gauge of 3 in /metrics:\n%s", metrics)
 	}
 	for _, want := range []string{
-		`km_relative_base_bytes{base="` + fps[0][1] + `"} `,
+		`km_relative_base_bytes{base="` + fps[0][1] + `"} ` + baseCharge + "\n",
 		`km_relative_delta_bytes{index="t1",base="` + fps[0][1] + `"} `,
 		`km_relative_delta_bytes{index="t3",base="` + fps[0][1] + `"} `,
 		`km_relative_base_hits_total{index="t2"} `,

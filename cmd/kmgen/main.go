@@ -364,8 +364,10 @@ func buildRelativeFile(path, basePath string, refs []bwtmatch.Reference, named b
 	if err := rx.SaveFile(path); err != nil {
 		return err
 	}
+	// A server that loads the container resolves the base from its path
+	// hint and keeps it BaseOnly; that is the base's share.
 	fmt.Printf("built relative index against %s (%d base-index bytes shared) in %v, saved to %s (%d delta bytes)\n",
-		basePath, base.ResidentBytes(),
+		basePath, base.BaseOnly().ResidentBytes(),
 		time.Since(start).Round(time.Millisecond), path, rx.DeltaBytes())
 	return nil
 }

@@ -241,6 +241,7 @@ func FuzzLoadRoundTrip(f *testing.F) {
 	f.Add(mutated)
 	f.Add(nonCanonicalText(valid, true))
 	f.Add(nonCanonicalText(valid, false))
+	f.Add(textFlipped320(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := Load(bytes.NewReader(data))

@@ -118,7 +118,7 @@ type Index struct {
 	occShift int32   // log2(OccRate) when it is a power of two, else -1
 	sentPos  int32   // position of the sentinel within bwt
 
-	saMarked  *bitvec.Rank // rows whose SA value is sampled
+	saMarked  *bitvec.Rank // rows whose SA value is sampled; nil on a rank-only index
 	saSamples []int32      // SA values of marked rows, in row order
 
 	// Relative layout (relative.go): the BWT and occ queries are bridged
@@ -431,6 +431,25 @@ func (idx *Index) lfStep(row int32) int32 {
 // is a fault in the rank layer or the samples.
 var ErrLocate = errors.New("fmindex: locate walk reached no sampled row")
 
+// ErrRankOnly reports a Locate on a rank-only index (RankOnly), which
+// holds no suffix-array samples to resolve rows with.
+var ErrRankOnly = errors.New("fmindex: rank-only index holds no suffix-array samples")
+
+// RankOnly returns a copy of idx without its Locate samples and their
+// row marks. It shares the rest with idx: for a standalone index the
+// 2-bit BWT, the occ checkpoints and the C array, which is all a
+// relative tenant reads of its base. Rank queries, BWT, Fingerprint
+// and the LF walk answer as on idx; LocateTraced and WriteTo return
+// ErrRankOnly.
+func (idx *Index) RankOnly() *Index {
+	c := *idx
+	c.saMarked, c.saSamples = nil, nil
+	return &c
+}
+
+// IsRankOnly reports whether the index holds no Locate samples.
+func (idx *Index) IsRankOnly() bool { return idx.saMarked == nil }
+
 // Locate resolves every row of iv to a text position (the start of the
 // suffix in the indexed text), using the sampled suffix array: walk LF
 // until a marked row is hit. Results are appended to dst.
@@ -442,8 +461,12 @@ func (idx *Index) Locate(iv Interval, dst []int32) ([]int32, error) {
 // EvLocate event per call carrying the number of rows resolved and the
 // total LF-mapping steps walked to reach sampled rows (the suffix-array
 // sampling cost the SARate option trades space against). A walk that
-// needs more than SARate-1 steps stops with ErrLocate.
+// needs more than SARate-1 steps stops with ErrLocate, and a rank-only
+// index returns ErrRankOnly.
 func (idx *Index) LocateTraced(iv Interval, dst []int32, tr obs.Tracer) ([]int32, error) {
+	if idx.saMarked == nil {
+		return dst, ErrRankOnly
+	}
 	var lf int64
 	last := int32(idx.opts.SARate) - 1
 	for row := iv.Lo; row < iv.Hi; row++ {
@@ -492,12 +515,22 @@ func (idx *Index) BWT() []byte {
 }
 
 // SizeBytes returns the index payload: the 2-bit BWT plus the occ
-// checkpoints plus the SA samples and their row marks.
+// checkpoints plus the SA samples and their row marks, which a
+// rank-only index does not hold.
 func (idx *Index) SizeBytes() int {
 	if idx.rel != nil {
 		// Tenant-resident bytes only: the delta plus the tenant's own
 		// Locate samples. The shared base is accounted once, elsewhere.
-		return idx.rel.SizeBytes() + len(idx.saSamples)*4 + idx.saMarked.Len()/8
+		return idx.rel.SizeBytes() + idx.sampleBytes()
 	}
-	return idx.bwt.sizeBytes() + len(idx.occ)*4 + len(idx.saSamples)*4 + idx.saMarked.Len()/8
+	return idx.bwt.sizeBytes() + len(idx.occ)*4 + idx.sampleBytes()
+}
+
+// sampleBytes is the Locate samples' share of SizeBytes: the samples
+// and their row marks.
+func (idx *Index) sampleBytes() int {
+	if idx.saMarked == nil {
+		return 0
+	}
+	return len(idx.saSamples)*4 + idx.saMarked.Len()/8
 }

@@ -19,25 +19,25 @@ const InvariantsEnabled = true
 // single-cycle LF walk certifying every SA sample) and then
 // cross-checks the specialized DNA rankall tables against an
 // independently built wavelet tree over the same BWT — the general
-// rank structure the paper's layout replaces. O(n log sigma); tests
-// and fuzz harnesses only, no-op in default builds.
+// rank structure the paper's layout replaces. A rank-only index has no
+// samples to check. O(n log sigma); tests and fuzz harnesses only,
+// no-op in default builds.
 func (idx *Index) CheckInvariants() error {
-	if idx.saMarked == nil {
-		return fmt.Errorf("fmindex: nil SA mark bitvector")
-	}
-	if len(idx.saSamples) != idx.saMarked.Ones() {
-		return fmt.Errorf("fmindex: %d SA samples for %d marked rows",
-			len(idx.saSamples), idx.saMarked.Ones())
-	}
-	if err := idx.saMarked.CheckInvariants(); err != nil {
-		return fmt.Errorf("fmindex: SA mark bitvector: %w", err)
+	if idx.saMarked != nil {
+		if len(idx.saSamples) != idx.saMarked.Ones() {
+			return fmt.Errorf("fmindex: %d SA samples for %d marked rows",
+				len(idx.saSamples), idx.saMarked.Ones())
+		}
+		if err := idx.saMarked.CheckInvariants(); err != nil {
+			return fmt.Errorf("fmindex: SA mark bitvector: %w", err)
+		}
 	}
 	if d := idx.rel; d != nil {
 		if err := d.CheckInvariants(); err != nil {
 			return fmt.Errorf("fmindex: %w", err)
 		}
 	}
-	if err := idx.verifyLoad(); err != nil {
+	if err := idx.verifyLoad(nil); err != nil {
 		return fmt.Errorf("fmindex: %w", err)
 	}
 

@@ -453,7 +453,7 @@ func ReadRelativeIndex(r io.Reader, base *Index) (*Index, error) {
 	if err := idx.readSASamples(br); err != nil {
 		return nil, err
 	}
-	if err := idx.verifyLoad(); err != nil {
+	if err := idx.verifyLoad(nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return idx, nil
@@ -488,5 +488,5 @@ func (idx *Index) verifyRelativeLoad() error {
 	if err := idx.verifyCArray(counts); err != nil {
 		return err
 	}
-	return idx.verifySASamples(bwt)
+	return idx.verifyLFWalk(bwt, nil)
 }

@@ -3,6 +3,7 @@ package fmindex
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -364,5 +365,74 @@ func TestRelativeFingerprint(t *testing.T) {
 	}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("distinct texts share a fingerprint")
+	}
+}
+
+// TestRankOnlyBase checks the sample-free form of a standalone index:
+// it answers every rank query, the BWT and the fingerprint as the
+// index does, bridges a relative tenant built or loaded against it to
+// the same answers, counts only the 2-bit BWT and the occ checkpoints,
+// and refuses Locate and WriteTo with ErrRankOnly, while the index it
+// was made from keeps its samples.
+func TestRankOnlyBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(307))
+	base, tenant, rel, tenText := buildRelativePair(t, rng, 1500, 0.02)
+	ro := base.RankOnly()
+	if !ro.IsRankOnly() || base.IsRankOnly() {
+		t.Fatal("RankOnly did not make a sample-free copy of a sampled index")
+	}
+	rows := base.N() + 1
+	if want := (rows+31)/32*8 + (rows/4+1)*alphabet.Bases*4; ro.SizeBytes() != want {
+		t.Fatalf("rank-only SizeBytes %d, want BWT plus checkpoints %d", ro.SizeBytes(), want)
+	}
+	if ro.SizeBytes() >= base.SizeBytes() {
+		t.Fatal("rank-only form counts its base's samples")
+	}
+	if !bytes.Equal(ro.BWT(), base.BWT()) || ro.Fingerprint() != base.Fingerprint() {
+		t.Fatal("rank-only BWT differs")
+	}
+	for q := 0; q < 200; q++ {
+		lo := int32(rng.Intn(rows))
+		iv := Interval{lo, lo + 1 + int32(rng.Intn(rows-int(lo)))}
+		var a, b [alphabet.Bases]Interval
+		base.StepAll(iv, &a)
+		ro.StepAll(iv, &b)
+		if a != b {
+			t.Fatalf("StepAll(%v) differs: %v vs %v", iv, b, a)
+		}
+	}
+	if err := ro.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	iv := base.Search(tenText[:3])
+	if _, err := ro.Locate(iv, nil); !errors.Is(err, ErrRankOnly) {
+		t.Fatalf("rank-only Locate err %v, want ErrRankOnly", err)
+	}
+	if _, err := ro.WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrRankOnly) {
+		t.Fatalf("rank-only WriteTo err %v, want ErrRankOnly", err)
+	}
+	mustLocate(t, base, iv)
+
+	var buf bytes.Buffer
+	if _, err := rel.WriteRelativeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadRelativeIndex(&buf, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	made, err := MakeRelative(ro, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 30; q++ {
+		p := rng.Intn(len(tenText) - 8)
+		pat := tenText[p : p+1+rng.Intn(8)]
+		want := mustLocate(t, tenant, tenant.Search(pat))
+		for _, x := range []*Index{loaded, made} {
+			if got := mustLocate(t, x, x.Search(pat)); !slices.Equal(got, want) {
+				t.Fatalf("tenant over a rank-only base: %v, want %v", got, want)
+			}
+		}
 	}
 }

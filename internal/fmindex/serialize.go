@@ -47,6 +47,9 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if idx.rel != nil {
 		return 0, errors.New("fmindex: relative index has no standalone serialization; use WriteRelativeTo")
 	}
+	if idx.saMarked == nil {
+		return 0, ErrRankOnly
+	}
 	cw := &countWriter{w: bufio.NewWriter(w)}
 	put := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
 	if err := firstErr(
@@ -112,7 +115,15 @@ func (idx *Index) readSASamples(br *bufio.Reader) error {
 }
 
 // ReadIndex deserializes an index written by WriteTo.
-func ReadIndex(r io.Reader) (*Index, error) {
+func ReadIndex(r io.Reader) (*Index, error) { return ReadIndexReversed(r, nil) }
+
+// ReadIndexReversed is ReadIndex for an index built over the reverse
+// of text, the orientation the library builds in (see SearchReversed).
+// The load's LF walk, which recovers the indexed text from its last
+// base to its first, compares each base with text and rejects the
+// first difference, so a text stored beside the index cannot disagree
+// with it. A nil text skips the comparison.
+func ReadIndexReversed(r io.Reader, text *alphabet.Packed) (*Index, error) {
 	br := bufio.NewReader(r)
 	get := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
 
@@ -142,6 +153,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	}
 	if occRate > maxRate || saRate > maxRate {
 		return nil, fmt.Errorf("%w: rates occ=%d sa=%d", ErrFormat, occRate, saRate)
+	}
+	if text != nil && text.Len() != idx.n {
+		return nil, fmt.Errorf("%w: text of %d bases for an index over %d", ErrFormat, text.Len(), n)
 	}
 
 	switch layout {
@@ -215,7 +229,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err := idx.readSASamples(br); err != nil {
 		return nil, err
 	}
-	if err := idx.verifyLoad(); err != nil {
+	if err := idx.verifyLoad(text); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	return idx, nil
@@ -265,14 +279,15 @@ func (idx *Index) verifyPayload() error {
 // header, the C array must be the prefix sums of the BWT's character
 // counts, the rankall checkpoints must equal a fresh recount, and the
 // LF mapping must form a single cycle through all n+1 rows whose
-// recovered text positions match every stored SA sample. An index that
-// passes is fully internally consistent — Step, Locate and the LF walk
-// cannot index out of range or loop forever on it — so a corrupt file
-// is rejected here rather than surfacing as a panic deep in a search.
-// The deeper (and slower) oracle cross-checks live behind the
-// kminvariants build tag; this gate is cheap enough to run on every
-// load.
-func (idx *Index) verifyLoad() error {
+// recovered text positions match every stored SA sample and, for a
+// standalone index given its text (ReadIndexReversed), whose recovered
+// bases match the text's. An index that passes is fully internally
+// consistent — Step, Locate and the LF walk cannot index out of range
+// or loop forever on it — so a corrupt file is rejected here rather
+// than surfacing as a panic deep in a search. The deeper (and slower)
+// oracle cross-checks live behind the kminvariants build tag; this
+// gate is cheap enough to run on every load.
+func (idx *Index) verifyLoad(text *alphabet.Packed) error {
 	if idx.rel != nil {
 		if idx.sentPos < 0 || int(idx.sentPos) > idx.n {
 			return fmt.Errorf("sentinel position %d outside %d rows", idx.sentPos, idx.n+1)
@@ -316,7 +331,7 @@ func (idx *Index) verifyLoad() error {
 		}
 	}
 
-	return idx.verifySASamples(bwt)
+	return idx.verifyLFWalk(bwt, text)
 }
 
 // verifyCArray checks the C array against a character census of the BWT.
@@ -335,19 +350,25 @@ func (idx *Index) verifyCArray(counts [alphabet.Size]int32) error {
 	return nil
 }
 
-// verifySASamples checks that the LF mapping, computed by one sequential
-// scan of the materialized BWT, traces a single cycle visiting every row
-// exactly once, that the text position recovered at each marked row
-// equals the stored sample, and that the sampled positions leave no
-// gap Locate cannot cross: position 0 is sampled, and so is one within
-// SARate of every sampled position and of the text's end. Then every
-// Locate walk of the loaded index meets a sample within SARate-1 steps.
-func (idx *Index) verifySASamples(bwt []byte) error {
+// verifyLFWalk checks that the LF mapping, computed by one sequential
+// scan of the materialized BWT, traces a single cycle visiting every
+// row exactly once. The walk recovers the indexed text from its last
+// position to its first, and checks what the index holds against it:
+//   - The text position recovered at each marked row equals the stored
+//     sample, and the sampled positions leave no gap Locate cannot
+//     cross: position 0 is sampled, and so is one within SARate of
+//     every sampled position and of the text's end. Then every Locate
+//     walk of the loaded index meets a sample within SARate-1 steps.
+//     A rank-only index holds no samples to check.
+//   - When text is non-nil, the indexed text is its reverse, and each
+//     recovered base must equal text's.
+func (idx *Index) verifyLFWalk(bwt []byte, text *alphabet.Packed) error {
 	rows := idx.n + 1
-	if idx.saMarked.Len() != rows {
-		return fmt.Errorf("mark bitvector %d bits for %d rows", idx.saMarked.Len(), rows)
+	marks := idx.saMarked
+	if marks != nil && marks.Len() != rows {
+		return fmt.Errorf("mark bitvector %d bits for %d rows", marks.Len(), rows)
 	}
-	if idx.saMarked.Ones() == 0 {
+	if marks != nil && marks.Ones() == 0 {
 		return fmt.Errorf("no sampled SA rows")
 	}
 	lf := make([]int32, rows)
@@ -369,8 +390,8 @@ func (idx *Index) verifySASamples(bwt []byte) error {
 			return fmt.Errorf("LF cycle revisits row %d with %d positions left", row, pos+1)
 		}
 		visited.Set(int(row))
-		if idx.saMarked.Get(int(row)) {
-			if got := idx.saSamples[idx.saMarked.Rank1(int(row))]; got != int32(pos) {
+		if marks != nil && marks.Get(int(row)) {
+			if got := idx.saSamples[marks.Rank1(int(row))]; got != int32(pos) {
 				return fmt.Errorf("SA sample at row %d = %d, LF walk says %d", row, got, pos)
 			}
 			if sampled-pos > idx.opts.SARate {
@@ -381,12 +402,18 @@ func (idx *Index) verifySASamples(bwt []byte) error {
 		if pos == 0 {
 			break
 		}
+		// bwt[row] precedes position pos of the indexed text, which is
+		// base n-pos of text.
+		if text != nil && text.Get(idx.n-pos) != bwt[row] {
+			return fmt.Errorf("text base %d is %c, the BWT says %c",
+				idx.n-pos, alphabet.Byte(text.Get(idx.n-pos)), alphabet.Byte(bwt[row]))
+		}
 		row = lf[row]
 	}
 	if lf[row] != 0 {
 		return fmt.Errorf("LF walk ends at row %d, not the sentinel row", lf[row])
 	}
-	if sampled != 0 {
+	if marks != nil && sampled != 0 {
 		return fmt.Errorf("text position 0 is not sampled")
 	}
 	return nil

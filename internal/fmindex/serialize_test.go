@@ -3,6 +3,7 @@ package fmindex
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -141,5 +142,42 @@ func TestSerializeRejectsSampleGap(t *testing.T) {
 		if _, err := ReadIndex(&buf); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ReadIndex err %v, want ErrFormat for %q", err, c.want)
 		}
+	}
+}
+
+// TestReadIndexReversedChecksText pins the loader's text check: an
+// index over the reverse of a text loads beside that text, and not
+// beside a text one base away from it or of another length.
+func TestReadIndexReversedChecksText(t *testing.T) {
+	text := randomRanks(rand.New(rand.NewSource(144)), 700)
+	idx, err := Build(alphabet.Reverse(slices.Clone(text)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	pack := func(ranks []byte) *alphabet.Packed {
+		p, err := alphabet.Pack(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if _, err := ReadIndexReversed(bytes.NewReader(stream), pack(text)); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{0, 320, len(text) - 1} {
+		flipped := slices.Clone(text)
+		flipped[at] = flipped[at]%alphabet.Bases + 1
+		want := fmt.Sprintf("text base %d is ", at)
+		if _, err := ReadIndexReversed(bytes.NewReader(stream), pack(flipped)); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), want) {
+			t.Errorf("base %d flipped: err %v, want ErrFormat for %q", at, err, want)
+		}
+	}
+	if _, err := ReadIndexReversed(bytes.NewReader(stream), pack(text[1:])); !errors.Is(err, ErrFormat) {
+		t.Errorf("shorter text: err %v, want ErrFormat", err)
 	}
 }

@@ -2,6 +2,7 @@ package bwtmatch
 
 import (
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -26,9 +27,11 @@ type testLayout struct {
 // (the even ordinals), and a RelativeIndex against a base built from a
 // mutated copy of target. The standalone and relative layouts come
 // twice, once at the default rankall spacing and once at the paper's
-// rate 4 (for the tenant, its base's spacing). Patterns up to 100 bases
-// are valid on all. It also returns the sharded index, for tests that
-// aim at its shard boundaries.
+// rate 4 (for the tenant, its base's spacing). The relative layout
+// comes a third time saved and loaded by LoadRelativeFile(path, nil),
+// over the BaseOnly base it resolves from the container's path hint.
+// Patterns up to 100 bases are valid on all. It also returns the
+// sharded index, for tests that aim at its shard boundaries.
 func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *ShardedIndex) {
 	t.Helper()
 	mono, err := New(target)
@@ -49,6 +52,18 @@ func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *Sh
 		t.Fatal(err)
 	}
 	rel, err := NewRelative(base, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := base.SaveFile(filepath.Join(dir, "base.idx")); err != nil {
+		t.Fatal(err)
+	}
+	rel.SetBasePath("base.idx")
+	if err := rel.SaveFile(filepath.Join(dir, "tenant.rel")); err != nil {
+		t.Fatal(err)
+	}
+	hinted, err := LoadRelativeFile(filepath.Join(dir, "tenant.rel"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +98,7 @@ func testLayouts(t *testing.T, rng *rand.Rand, target []byte) ([]testLayout, *Sh
 			}},
 		{"relative", rel.SearchMethodScratch, all},
 		{"relative-rate4", rel4.SearchMethodScratch, all},
+		{"relative-hinted", hinted.SearchMethodScratch, all},
 	}, sh
 }
 

@@ -120,8 +120,9 @@ func (x *Index) SearchRefs(pattern []byte, k int) ([]RefMatch, error) {
 	return out, nil
 }
 
-// RefSeq returns a decoded copy of one reference's sequence, or nil if
-// a relative tenant cannot rebuild its text.
+// RefSeq returns a decoded copy of one reference's sequence, or nil on
+// a BaseOnly index, which holds no text, and when a relative tenant
+// cannot rebuild its text.
 func (x *Index) RefSeq(r Ref) []byte {
 	text, err := x.packedText()
 	if err != nil {

@@ -135,7 +135,11 @@ func reconstructTarget(fm *fmindex.Index) (*alphabet.Packed, error) {
 	return alphabet.Pack(alphabet.Reverse(rev))
 }
 
-// Base returns the shared base index.
+// Base returns the shared base index: the one the caller supplied, or,
+// for a LoadRelativeFile(path, nil) load, the BaseOnly index resolved
+// from the container's path hint, which holds only the 2-bit BWT, the
+// occ checkpoints and the C array and returns ErrBaseOnly from every
+// search, Save and text read.
 func (x *RelativeIndex) Base() *Index { return x.base }
 
 // BaseFingerprint returns the content hash of the base's BWT that the

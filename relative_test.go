@@ -338,3 +338,77 @@ func TestRelativizeExisting(t *testing.T) {
 		t.Fatalf("nil base accepted: %v", err)
 	}
 }
+
+// TestHintedBaseOnly checks what LoadRelativeFile keeps of a base it
+// resolves from the container's path hint: no text, rank copy,
+// reference table or Locate samples, a charge of its 2-bit BWT plus its
+// occ checkpoints, and a tenant that re-saves byte-identically. A
+// supplied base is kept whole, and a base file that a full Load
+// rejects fails the hinted load too.
+func TestHintedBaseOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(2301))
+	dir := t.TempDir()
+	baseText := randomDNA(rng, 3000)
+	base, err := NewRefs([]Reference{{Name: "chr1", Seq: baseText[:1000]}, {Name: "chr2", Seq: baseText[1000:]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePath, tenPath := filepath.Join(dir, "base.idx"), filepath.Join(dir, "tenant.rel")
+	if err := base.SaveFile(basePath); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := NewRelative(base, mutateDNA(rng, baseText, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.SetBasePath("base.idx")
+	if err := rel.SaveFile(tenPath); err != nil {
+		t.Fatal(err)
+	}
+
+	hinted, err := LoadRelativeFile(tenPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := hinted.Base()
+	if b.text != nil || b.textFn != nil || b.ranks != nil || b.refs != nil || !b.searcher.Index().IsRankOnly() {
+		t.Fatal("hinted base keeps a text, a reference table or Locate samples")
+	}
+	rows := base.Len() + 1
+	if want := (rows+31)/32*8 + (rows/32+1)*4*4; b.ResidentBytes() != want || b.SizeBytes() != want {
+		t.Fatalf("hinted base charged %d (SizeBytes %d), want BWT plus checkpoints %d",
+			b.ResidentBytes(), b.SizeBytes(), want)
+	}
+	if base.ResidentBytes() <= b.ResidentBytes() {
+		t.Fatal("a supplied base is charged no more than a base-only one")
+	}
+	saved, err := os.ReadFile(tenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := hinted.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("a tenant loaded with a hinted base does not re-save byte-identically")
+	}
+	supplied, err := LoadRelativeFile(tenPath, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if supplied.Base() != base {
+		t.Fatal("a supplied base was replaced")
+	}
+
+	var buf bytes.Buffer
+	if err := base.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(basePath, flipTextBase(buf.Bytes(), 100), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRelativeFile(tenPath, nil); !errors.Is(err, ErrFormat) {
+		t.Fatalf("hinted base with a flipped text base: err %v, want ErrFormat", err)
+	}
+}

@@ -27,12 +27,12 @@ func (x *Index) Save(w io.Writer) error {
 	if x.searcher.Index().IsRelative() {
 		return errors.New("bwtmatch: relative index cannot be saved standalone; use RelativeIndex.Save")
 	}
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, fileMagic); err != nil {
-		return err
-	}
 	text, err := x.packedText()
 	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	if err := binary.Write(bw, binary.LittleEndian, fileMagic); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint64(text.Len())); err != nil {
@@ -160,14 +160,12 @@ func Load(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := fmindex.ReadIndex(br)
+	// The index's load walk checks every base of text against the BWT.
+	idx, err := fmindex.ReadIndexReversed(br, text)
 	if err != nil {
 		// fmindex wraps its own sentinel; re-wrap so callers can match the
 		// package-level ErrFormat regardless of which layer rejected the file.
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if idx.N() != int(n) {
-		return nil, fmt.Errorf("%w: text length %d but index over %d", ErrFormat, n, idx.N())
 	}
 	return &Index{
 		text:     text,

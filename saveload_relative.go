@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -189,7 +191,10 @@ func LoadRelative(r io.Reader, base *Index) (*RelativeIndex, error) {
 // LoadRelativeFile loads a relative container from a file. When base is
 // nil the container's path hint is resolved — first as given, then
 // relative to the container's directory — and the base index is loaded
-// from there; pass a base to share one in-memory copy across tenants.
+// from there, with every check Load makes, and kept BaseOnly: its text
+// and Locate samples are dropped, and Base() refuses searches and
+// saves. Pass a base to share one in-memory copy across tenants; a
+// supplied base is kept as it is.
 func LoadRelativeFile(path string, base *Index) (*RelativeIndex, error) {
 	if base == nil {
 		hdr, ok, err := SniffRelative(path)
@@ -212,8 +217,8 @@ func LoadRelativeFile(path string, base *Index) (*RelativeIndex, error) {
 	return LoadRelative(f, base)
 }
 
-// loadHintedBase resolves a container's base path hint and loads the
-// base index.
+// loadHintedBase resolves a container's base path hint, loads the base
+// index and keeps only what the tenant's rank queries read of it.
 func loadHintedBase(containerPath, hint string) (*Index, error) {
 	if hint == "" {
 		return nil, fmt.Errorf("%w: relative container %s has no base path hint; load the base and pass it explicitly",
@@ -227,9 +232,11 @@ func loadHintedBase(containerPath, hint string) (*Index, error) {
 	for _, c := range candidates {
 		base, err := LoadFile(c)
 		if err == nil {
-			return base, nil
+			return base.BaseOnly(), nil
 		}
-		if firstErr == nil {
+		// A candidate that exists and fails to load is the error to
+		// report, not a missing one tried before it.
+		if firstErr == nil || errors.Is(firstErr, fs.ErrNotExist) {
 			firstErr = err
 		}
 	}

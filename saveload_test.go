@@ -220,3 +220,38 @@ func TestLoadRejectsNonCanonicalText(t *testing.T) {
 		t.Error("a loaded index does not re-save byte-identically")
 	}
 }
+
+// flipTextBase returns a saved index whose text payload holds another
+// base at position i: a payload its BWT disagrees with at one base.
+func flipTextBase(valid []byte, i int) []byte {
+	const payloadAt = 20
+	c := append([]byte(nil), valid...)
+	c[payloadAt+i/4] ^= 1 << (2 * (i % 4)) // base i's 2-bit code
+	return c
+}
+
+// textFlipped320 is a saved 2,000-base index with base 320 of its text
+// payload flipped. Before Load checked the text against the BWT it
+// loaded, and then Seed, which verifies over the text, found no match
+// for the exact 40-base pattern at 310 while A() returned {310, 0}.
+func textFlipped320(tb testing.TB) []byte {
+	idx, err := New(randomDNA(rand.New(rand.NewSource(156)), 2000))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return flipTextBase(buf.Bytes(), 320)
+}
+
+// TestLoadRejectsTextMismatch pins the loader's text check: the LF walk
+// that verifies the SA samples compares every base of the text payload
+// with the BWT, and the first difference is an ErrFormat.
+func TestLoadRejectsTextMismatch(t *testing.T) {
+	_, err := Load(bytes.NewReader(textFlipped320(t)))
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "text base 320 is ") {
+		t.Fatalf("Load error %v, want ErrFormat for text base 320", err)
+	}
+}

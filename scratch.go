@@ -78,6 +78,9 @@ func (x *Index) SearchMethodScratch(sc *Scratch, dst []Match, pattern []byte, k 
 // whole result for a standalone index (base 0, end Len()), the owned
 // matches in global coordinates for a shard.
 func (x *Index) search(sc *Scratch, dst []Match, p []byte, k int, method Method, tr Tracer, base, end int) ([]Match, Stats, error) {
+	if x.baseOnly() {
+		return dst, Stats{}, ErrBaseOnly
+	}
 	var (
 		cms []core.Match
 		st  Stats

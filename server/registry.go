@@ -67,8 +67,12 @@ type Registry struct {
 }
 
 // NewRegistry creates a registry with the given byte budget (0 for
-// unlimited). The budget counts index structures plus the packed text:
-// Index.ResidentBytes for a standalone index.
+// unlimited). The budget counts what each index holds: its structures
+// plus its packed text (Index.ResidentBytes) for a standalone index,
+// the delta for a relative tenant, and once per shared base that base's
+// ResidentBytes. A base that LoadFile resolves from a container's path
+// hint is BaseOnly, so it is charged its 2-bit BWT and occ checkpoints
+// alone; a base built in process and passed to Add is charged whole.
 func NewRegistry(budget int64) *Registry {
 	return &Registry{
 		budget:  budget,
@@ -78,7 +82,8 @@ func NewRegistry(budget int64) *Registry {
 }
 
 // indexBytes estimates the resident cost of one index. A standalone
-// index is charged ResidentBytes, its structures plus its packed text.
+// index is charged ResidentBytes, its structures plus its packed text,
+// or, for a BaseOnly shared base, its 2-bit BWT and occ checkpoints.
 // A sharded index's SizeBytes already sums each shard's ResidentBytes.
 // A relative tenant is charged only its delta — the shared base is
 // accounted once, in its baseEntry.

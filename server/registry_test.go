@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -255,6 +258,11 @@ func TestRegistryRelativeSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A base built in process is charged whole: its BWT structures,
+	// Locate samples and packed text.
+	if whole := int64(base.SizeBytes() + (base.Len()+31)/32*8); indexBytes(base) != whole || whole <= baseOnlyBytes(base.Len()) {
+		t.Fatalf("in-process base charged %d, want it whole: %d", indexBytes(base), whole)
+	}
 	want := indexBytes(base)
 	for _, tx := range tenants {
 		want += int64(tx.DeltaBytes())
@@ -353,9 +361,20 @@ func TestRegistryRelativeEviction(t *testing.T) {
 	}
 }
 
+// baseOnlyBytes is what a base resolved from a container's path hint
+// holds, computed from its length at the default checkpoint spacing of
+// 32 rows: its n+1 rows at 2 bits each in 64-bit words, and four int32
+// counts per checkpoint row.
+func baseOnlyBytes(n int) int64 {
+	rows := int64(n) + 1
+	return (rows+31)/32*8 + (rows/32+1)*4*4
+}
+
 // TestRegistryLoadFileSharedBase checks that loading sibling relative
 // containers from disk shares one in-memory base via the fingerprint
-// lookup.
+// lookup, that the registry charges that base only the 2-bit BWT and
+// occ checkpoints it keeps, and that the base refuses every search,
+// save and text path.
 func TestRegistryLoadFileSharedBase(t *testing.T) {
 	dir := t.TempDir()
 	base, tenants := buildRelativeTenants(t, 25, 1500, 2)
@@ -386,4 +405,66 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	if len(relBases) != 1 || relBases[0].tenants != 2 {
 		t.Fatalf("base not shared across LoadFile: %+v", relBases)
 	}
+
+	// Both tenants answer one search per method, the text paths
+	// rebuilding each tenant's own text.
+	methods := []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.STree,
+		bwtmatch.AlgorithmANoPhi, bwtmatch.Amir, bwtmatch.Cole, bwtmatch.Online, bwtmatch.Seed}
+	pattern := r0.RefSeq(bwtmatch.Ref{Start: 200, Len: 30})
+	for _, rx := range []*bwtmatch.RelativeIndex{r0, r1} {
+		want, _, err := rx.SearchMethodTraced(pattern, 2, bwtmatch.AlgorithmA, nil)
+		if err != nil || rx == r0 && len(want) == 0 {
+			t.Fatalf("tenant A(): %v (%v)", want, err)
+		}
+		for _, m := range methods {
+			got, _, err := rx.SearchMethodTraced(pattern, 2, m, nil)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("tenant %v: %v (%v), want %v", m, got, err, want)
+			}
+		}
+	}
+	baseBytes := baseOnlyBytes(base.Len())
+	if got, want := r.Resident(), baseBytes+int64(r0.DeltaBytes()+r1.DeltaBytes()); got != want {
+		t.Fatalf("resident %d, want BWT plus checkpoints %d plus the deltas: %d", got, baseBytes, want)
+	}
+	// No text, no rank copy, no Locate samples and no marks: the base
+	// counts nothing beyond its BWT and checkpoints, and no text path
+	// answers on it.
+	b := r0.Base()
+	if int64(b.SizeBytes()) != baseBytes || int64(b.ResidentBytes()) != baseBytes {
+		t.Fatalf("base SizeBytes %d, ResidentBytes %d, want %d", b.SizeBytes(), b.ResidentBytes(), baseBytes)
+	}
+	for _, info := range r.List() {
+		if info.SharedBaseBytes != baseBytes {
+			t.Fatalf("shared_base_bytes %d, want %d", info.SharedBaseBytes, baseBytes)
+		}
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, bwtmatch.ErrBaseOnly) {
+			t.Errorf("base %s: err %v, want ErrBaseOnly", what, err)
+		}
+	}
+	for _, m := range methods {
+		_, _, err := b.SearchMethodTraced(pattern, 1, m, nil)
+		refused(m.String(), err)
+	}
+	var buf bytes.Buffer
+	refused("Save", b.Save(&buf))
+	if buf.Len() != 0 {
+		t.Errorf("base Save wrote %d bytes", buf.Len())
+	}
+	if seq := b.RefSeq(bwtmatch.Ref{Start: 0, Len: 10}); seq != nil {
+		t.Errorf("base RefSeq = %q, want nil", seq)
+	}
+	_, err = b.MEMs(pattern, 8)
+	refused("MEMs", err)
+	_, err = b.SearchWildcard([]byte("acgnt"))
+	refused("SearchWildcard", err)
+	_, err = b.SearchEdits(pattern, 1)
+	refused("SearchEdits", err)
+	_, err = b.MTreeLeaves(pattern, 1)
+	refused("MTreeLeaves", err)
+	res := b.MapAllContext(context.Background(), []bwtmatch.Query{{Pattern: pattern, K: 1}}, bwtmatch.AlgorithmA, 1)
+	refused("MapAllContext", res[0].Err)
 }
