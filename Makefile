@@ -69,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadShardedRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzLoadRelativeRoundTrip -fuzztime=10s -tags kminvariants .
 	$(GO) test -run='^$$' -fuzz=FuzzPackedMismatches -fuzztime=10s ./internal/alphabet
+	$(GO) test -run='^$$' -fuzz=FuzzCommon -fuzztime=10s -tags kminvariants ./internal/relative
+	$(GO) test -run='^$$' -fuzz=FuzzSuffixArray -fuzztime=10s -tags kminvariants ./internal/suffixarray
 
 # Every Go benchmark of the module, once each: a benchmark that panics
 # or fails breaks the gate instead of rotting until someone times it.

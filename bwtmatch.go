@@ -191,9 +191,9 @@ func (x *Index) Len() int { return x.searcher.N() }
 // reads of its base: the 2-bit BWT, the occ checkpoints and the C
 // array, shared with x. It holds no text, no Locate samples and no
 // reference table, and it serves only as the base of relative tenants
-// (NewRelative, LoadRelative): every search, Save and text scan
-// returns ErrBaseOnly, and RefSeq returns nil. LoadRelativeFile
-// resolves a container's base path hint to one.
+// (NewRelative, LoadRelative): every search, Save, text scan and
+// RefSeq returns ErrBaseOnly. LoadRelativeFile resolves a container's
+// base path hint to one.
 func (x *Index) BaseOnly() *Index {
 	return &Index{searcher: core.NewSearcherFromIndex(x.searcher.Index().RankOnly(), x.Len())}
 }

@@ -126,6 +126,8 @@ type Index struct {
 	// are empty. SA samples and the C array stay tenant-local.
 	rel     *relative.Delta
 	relBase *Index
+
+	fp *fingerprint // Fingerprint, computed on first use
 }
 
 // Build constructs the index over a rank-encoded text (values 1..4).
@@ -140,7 +142,7 @@ func Build(text []byte, opts Options) (*Index, error) {
 		return nil, err
 	}
 	n := len(text)
-	idx := &Index{opts: opts, n: n}
+	idx := &Index{opts: opts, n: n, fp: new(fingerprint)}
 	idx.deriveOccShift()
 
 	// Suffix array of text+$; the sentinel suffix sorts first, so SA row 0
@@ -156,7 +158,7 @@ func Build(text []byte, opts Options) (*Index, error) {
 	if workers > 1 {
 		copy(sa[1:], suffixarray.BuildParallel(text, workers))
 	} else {
-		copy(sa[1:], suffixarray.Build(text))
+		suffixarray.BuildInto(text, sa[1:])
 	}
 	phaseStart = markPhase(&ph.SANS, phaseStart)
 

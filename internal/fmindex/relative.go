@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/relative"
@@ -201,9 +202,24 @@ func (idx *Index) RelDelta() *relative.Delta { return idx.rel }
 // Fingerprint returns the sha256 of the index's BWT characters, one
 // rank per byte, whatever their storage. A relative container binds to
 // its base through this hash, so a renamed or rebuilt base that no
-// longer matches is rejected at load. A standalone BWT is hashed in
-// chunks decoded from its packed words rather than materialized.
+// longer matches is rejected at load. It is computed on first use and
+// kept, for the index and the copies RankOnly and WithoutSample make
+// of it, which share its BWT.
 func (idx *Index) Fingerprint() [sha256.Size]byte {
+	idx.fp.once.Do(func() { idx.fp.sum = idx.hashBWT() })
+	return idx.fp.sum
+}
+
+// fingerprint is the cell an index and its copies share for the
+// fingerprint of their BWT.
+type fingerprint struct {
+	once sync.Once
+	sum  [sha256.Size]byte
+}
+
+// hashBWT computes Fingerprint. A standalone BWT is hashed in chunks
+// decoded from its packed words rather than materialized.
+func (idx *Index) hashBWT() [sha256.Size]byte {
 	if idx.rel != nil {
 		return sha256.Sum256(idx.relBWT())
 	}
@@ -276,6 +292,7 @@ func MakeRelative(base, tenant *Index) (*Index, error) {
 		saSamples: tenant.saSamples,
 		rel:       delta,
 		relBase:   base,
+		fp:        new(fingerprint),
 	}
 	got := rx.relBWT()
 	if len(got) != len(tenBWT) {
@@ -302,6 +319,7 @@ func MakeRelative(base, tenant *Index) (*Index, error) {
 // indexes' materialized BWTs.
 func buildDelta(base, tenant *Index, baseBWT, tenBWT []byte) *relative.Delta {
 	bld := relative.NewBuilder(baseBWT, tenBWT)
+	var al relative.Aligner
 
 	type blockPair struct {
 		key      uint64
@@ -339,30 +357,30 @@ func buildDelta(base, tenant *Index, baseBWT, tenBWT []byte) *relative.Delta {
 
 	gb, gt := 0, 0
 	for _, blk := range blocks {
-		alignRange(bld, baseBWT, tenBWT, gb, int(blk.base.Lo), gt, int(blk.tn.Lo))
-		alignRange(bld, baseBWT, tenBWT, int(blk.base.Lo), int(blk.base.Hi), int(blk.tn.Lo), int(blk.tn.Hi))
+		alignRange(&al, bld, baseBWT, tenBWT, gb, int(blk.base.Lo), gt, int(blk.tn.Lo))
+		alignRange(&al, bld, baseBWT, tenBWT, int(blk.base.Lo), int(blk.base.Hi), int(blk.tn.Lo), int(blk.tn.Hi))
 		gb, gt = int(blk.base.Hi), int(blk.tn.Hi)
 	}
-	alignRange(bld, baseBWT, tenBWT, gb, len(baseBWT), gt, len(tenBWT))
+	alignRange(&al, bld, baseBWT, tenBWT, gb, len(baseBWT), gt, len(tenBWT))
 	return bld.Finish()
 }
 
-// alignRange diffs baseBWT[b0:b1] against tenBWT[t0:t1], emitting
-// global matched pairs into bld. Oversized ranges are split
-// proportionally so each Myers run stays bounded.
-func alignRange(bld *relative.Builder, baseBWT, tenBWT []byte, b0, b1, t0, t1 int) {
+// alignRange diffs baseBWT[b0:b1] against tenBWT[t0:t1] with al's
+// scratch, emitting global matched pairs into bld. Oversized ranges
+// are split proportionally so each Myers run stays bounded.
+func alignRange(al *relative.Aligner, bld *relative.Builder, baseBWT, tenBWT []byte, b0, b1, t0, t1 int) {
 	if b0 >= b1 || t0 >= t1 {
 		return
 	}
 	if (b1-b0)+(t1-t0) > maxAlignBlock {
 		bm := (b0 + b1) / 2
 		tm := t0 + (t1-t0)*(bm-b0)/(b1-b0)
-		alignRange(bld, baseBWT, tenBWT, b0, bm, t0, tm)
-		alignRange(bld, baseBWT, tenBWT, bm, b1, tm, t1)
+		alignRange(al, bld, baseBWT, tenBWT, b0, bm, t0, tm)
+		alignRange(al, bld, baseBWT, tenBWT, bm, b1, tm, t1)
 		return
 	}
 	matched := 0
-	relative.Common(baseBWT[b0:b1], tenBWT[t0:t1], maxAlignD, func(ai, bi int) {
+	al.Common(baseBWT[b0:b1], tenBWT[t0:t1], maxAlignD, func(ai, bi int) {
 		matched++
 		bld.Match(b0+ai, t0+bi)
 	})
@@ -377,8 +395,8 @@ func alignRange(bld *relative.Builder, baseBWT, tenBWT []byte, b0, b1, t0, t1 in
 		// side separately guarantees the combined size shrinks even
 		// when one side is a sliver.
 		bm, tm := (b0+b1)/2, (t0+t1)/2
-		alignRange(bld, baseBWT, tenBWT, b0, bm, t0, tm)
-		alignRange(bld, baseBWT, tenBWT, bm, b1, tm, t1)
+		alignRange(al, bld, baseBWT, tenBWT, b0, bm, t0, tm)
+		alignRange(al, bld, baseBWT, tenBWT, bm, b1, tm, t1)
 	}
 }
 
@@ -427,7 +445,7 @@ func ReadRelativeIndex(r io.Reader, base *Index) (*Index, error) {
 
 	var magic, saRate uint32
 	var n uint64
-	idx := &Index{relBase: base}
+	idx := &Index{relBase: base, fp: new(fingerprint)}
 	if err := firstErr(get(&magic), get(&saRate), get(&n), get(&idx.sentPos)); err != nil {
 		return nil, fmt.Errorf("%w: relative header: %v", ErrFormat, err)
 	}

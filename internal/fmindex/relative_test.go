@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"bwtmatch/internal/alphabet"
@@ -368,6 +369,46 @@ func TestRelativeFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintCached pins the fingerprint cell: after the first
+// call Fingerprint allocates nothing and still equals the sha256 of
+// the BWT, on a standalone index, a relative one, a loaded one, and on
+// the RankOnly and WithoutSample copies, which share the cell whether
+// they were made before or after the first call.
+func TestFingerprintCached(t *testing.T) {
+	rng := rand.New(rand.NewSource(310))
+	base, _, rel, _ := buildRelativePair(t, rng, 6000, 0.02)
+	var buf bytes.Buffer
+	if _, err := base.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := base.RankOnly() // made before the first call
+	for name, idx := range map[string]*Index{"standalone": base, "relative": rel, "loaded": loaded} {
+		want := sha256.Sum256(idx.BWT())
+		if idx.Fingerprint() != want {
+			t.Fatalf("%s: fingerprint is not the sha256 of the BWT", name)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { idx.Fingerprint() }); allocs != 0 {
+			t.Fatalf("%s: a cached Fingerprint allocates %.0f times", name, allocs)
+		}
+		if idx.Fingerprint() != want {
+			t.Fatalf("%s: cached fingerprint changed", name)
+		}
+	}
+	want := base.Fingerprint()
+	for name, cp := range map[string]*Index{"early RankOnly": early, "RankOnly": base.RankOnly(), "WithoutSample": base.WithoutSample(0)} {
+		if cp.fp != base.fp {
+			t.Fatalf("%s copy has a fingerprint cell of its own", name)
+		}
+		if cp.Fingerprint() != want {
+			t.Fatalf("%s copy has another fingerprint", name)
+		}
+	}
+}
+
 // TestRankOnlyBase checks the sample-free form of a standalone index:
 // it answers every rank query, the BWT and the fingerprint as the
 // index does, bridges a relative tenant built or loaded against it to
@@ -433,6 +474,77 @@ func TestRankOnlyBase(t *testing.T) {
 			if got := mustLocate(t, x, x.Search(pat)); !slices.Equal(got, want) {
 				t.Fatalf("tenant over a rank-only base: %v, want %v", got, want)
 			}
+		}
+	}
+}
+
+// relativePayload builds tenText's index, expresses it against base
+// and returns the saved relative payload.
+func relativePayload(t testing.TB, base *Index, tenText []byte) []byte {
+	t.Helper()
+	tenant, err := Build(tenText, Options{OccRate: 4, SARate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := MakeRelative(base, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := rel.WriteRelativeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMakeRelativeConcurrent builds two tenants against one base at
+// once and requires each payload to equal its serial build: every
+// build owns its aligner scratch, so concurrent builds share nothing
+// mutable (run under -race by make race).
+func TestMakeRelativeConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(308))
+	baseText := randomRanks(rng, 20000)
+	base, err := Build(baseText, Options{OccRate: 4, SARate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := [][]byte{mutateRanks(rng, baseText, 0.01), mutateRanks(rng, baseText, 0.03)}
+	var got [2][]byte
+	var wg sync.WaitGroup
+	for i := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = relativePayload(t, base, texts[i])
+		}()
+	}
+	wg.Wait()
+	for i, text := range texts {
+		if want := relativePayload(t, base, text); !bytes.Equal(got[i], want) {
+			t.Fatalf("tenant %d: concurrent build differs from the serial one", i)
+		}
+	}
+}
+
+// BenchmarkMakeRelative aligns a 256 KiB tenant, 1% apart, against its
+// base: the context DFS, the Myers diffs and the delta freeze.
+func BenchmarkMakeRelative(b *testing.B) {
+	rng := rand.New(rand.NewSource(309))
+	baseText := randomRanks(rng, 256<<10)
+	base, err := Build(baseText, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenant, err := Build(mutateRanks(rng, baseText, 0.01), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(tenant.N()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MakeRelative(base, tenant); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

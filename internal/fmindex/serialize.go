@@ -137,7 +137,7 @@ func ReadIndexReversed(r io.Reader, text *alphabet.Packed) (*Index, error) {
 	var occRate, saRate uint32
 	var layout uint8
 	var n uint64
-	idx := &Index{}
+	idx := &Index{fp: new(fingerprint)}
 	if err := firstErr(
 		get(&occRate), get(&saRate), get(&layout), get(&n), get(&idx.sentPos),
 	); err != nil {

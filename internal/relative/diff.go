@@ -7,7 +7,33 @@
 // positional/rank queries over their alignment.
 package relative
 
-import "bytes"
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// Common finds a common subsequence of a and b and calls emit(ai, bi)
+// once per matched pair, in increasing order of both indexes. It is
+// Aligner.Common with a scratch of its own; a caller that diffs many
+// blocks keeps one Aligner instead.
+func Common(a, b []byte, maxD int, emit func(ai, bi int)) {
+	var al Aligner
+	al.Common(a, b, maxD, emit)
+}
+
+// Aligner holds the working memory of Common: the furthest-reaching
+// trace of the Myers search and the pair buffer of its backtrack. One
+// Aligner serves any number of sequential diffs without allocating
+// once its buffers have grown; it is not safe for concurrent use.
+type Aligner struct {
+	// trace holds, for each round d, the furthest-reaching x of the d+1
+	// diagonals k = -d, -d+2, ..., d that round reaches, at offset
+	// d(d+1)/2 + (k+d)/2. Round d reads only round d-1's diagonals
+	// k±1, so the row is the whole state, and the backtrack reads the
+	// same rows.
+	trace []int32
+	pairs []int32 // backtracked pairs, (ai, bi) flattened, last first
+}
 
 // Common finds a common subsequence of a and b and calls emit(ai, bi)
 // once per matched pair, in increasing order of both indexes. It trims
@@ -16,7 +42,7 @@ import "bytes"
 // middle needs more than maxD edits its pairs are simply not emitted.
 // Any common subsequence — including an empty one — yields a correct
 // (just larger) delta, so the cap trades delta size for build time.
-func Common(a, b []byte, maxD int, emit func(ai, bi int)) {
+func (al *Aligner) Common(a, b []byte, maxD int, emit func(ai, bi int)) {
 	// Shared prefix.
 	p := 0
 	for p < len(a) && p < len(b) && a[p] == b[p] {
@@ -31,45 +57,46 @@ func Common(a, b []byte, maxD int, emit func(ai, bi int)) {
 	}
 	mid1, mid2 := a2[:len(a2)-s], b2[:len(b2)-s]
 	if len(mid1) > 0 && len(mid2) > 0 {
-		myersCommon(mid1, mid2, maxD, p, p, emit)
+		al.myers(mid1, mid2, maxD, p, emit)
 	}
 	for i := s; i > 0; i-- {
 		emit(len(a)-i, len(b)-i)
 	}
 }
 
-// myersCommon runs the classic Myers greedy O(ND) LCS with a trace of
-// per-round furthest-reaching snapshots, then backtracks to emit the
-// matched pairs (offset by offA/offB) in forward order. If the edit
+// myers runs the classic Myers greedy O(ND) LCS, keeping each round's
+// furthest-reaching diagonals, then backtracks to emit the matched
+// pairs (offset by off on both sides) in forward order. If the edit
 // distance exceeds maxD nothing is emitted.
-func myersCommon(a, b []byte, maxD int, offA, offB int, emit func(ai, bi int)) {
+func (al *Aligner) myers(a, b []byte, maxD int, off int, emit func(ai, bi int)) {
 	n, m := len(a), len(b)
 	if d := n + m; d < maxD {
 		maxD = d
 	}
-	size := 2*maxD + 2
-	v := make([]int, size)
-	idx := func(k int) int { return ((k % size) + size) % size }
-	var trace [][]int
+	if maxD < 0 {
+		return // no budget; the trace size below would be garbage
+	}
+	if need := (maxD + 1) * (maxD + 2) / 2; len(al.trace) < need {
+		al.trace = make([]int32, need)
+	}
 	found := -1
 search:
 	for d := 0; d <= maxD; d++ {
-		snap := make([]int, size)
-		copy(snap, v)
-		trace = append(trace, snap)
-		for k := -d; k <= d; k += 2 {
+		prev := al.trace[(d-1)*d/2:][:d]
+		cur := al.trace[d*(d+1)/2:][:d+1]
+		for i := range cur { // diagonal k = 2i - d
 			var x int
-			if k == -d || (k != d && v[idx(k-1)] < v[idx(k+1)]) {
-				x = v[idx(k+1)]
-			} else {
-				x = v[idx(k-1)] + 1
+			switch {
+			case d == 0:
+				x = 0
+			case i == 0 || (i != d && prev[i-1] < prev[i]):
+				x = int(prev[i]) // down from k+1
+			default:
+				x = int(prev[i-1]) + 1 // right from k-1
 			}
-			y := x - k
-			for x < n && y < m && a[x] == b[y] {
-				x++
-				y++
-			}
-			v[idx(k)] = x
+			y := x - (2*i - d)
+			x, y = snake(a, b, x, y)
+			cur[i] = int32(x)
 			if x >= n && y >= m {
 				found = d
 				break search
@@ -79,36 +106,50 @@ search:
 	if found < 0 {
 		return // budget exceeded: contribute no pairs for this block
 	}
-	// Backtrack from (n, m) through the snapshots; diagonal runs are the
+	// Backtrack from (n, m) through the rounds; diagonal runs are the
 	// matches, collected in reverse and replayed forward.
-	type pair struct{ ai, bi int }
-	var rev []pair
+	rev := al.pairs[:0]
 	x, y := n, m
 	for d := found; d >= 0 && (x > 0 || y > 0); d-- {
-		vd := trace[d]
-		k := x - y
-		var prevK int
-		if k == -d || (k != d && vd[idx(k-1)] < vd[idx(k+1)]) {
-			prevK = k + 1
-		} else {
-			prevK = k - 1
+		prevX, prevY := 0, 0
+		if d > 0 {
+			prev := al.trace[(d-1)*d/2:][:d]
+			i := (x - y + d) / 2
+			if i == 0 || (i != d && prev[i-1] < prev[i]) {
+				prevX = int(prev[i])
+				prevY = prevX - (x - y + 1)
+			} else {
+				prevX = int(prev[i-1])
+				prevY = prevX - (x - y - 1)
+			}
 		}
-		prevX := vd[idx(prevK)]
-		prevY := prevX - prevK
 		for x > prevX && y > prevY {
 			x--
 			y--
-			rev = append(rev, pair{x, y})
+			rev = append(rev, int32(x), int32(y))
 		}
-		if d > 0 {
-			x, y = prevX, prevY
-		}
+		x, y = prevX, prevY
 	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		emit(offA+rev[i].ai, offB+rev[i].bi)
+	for i := len(rev) - 2; i >= 0; i -= 2 {
+		emit(off+int(rev[i]), off+int(rev[i+1]))
 	}
+	al.pairs = rev
 }
 
-// Equal reports whether two byte slices are identical (convenience for
-// callers deciding whether a delta is worth building at all).
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
+// snake follows the diagonal from (x, y) while a[x] == b[y], eight
+// bytes per step while both sides have eight left.
+func snake(a, b []byte, x, y int) (int, int) {
+	for x+8 <= len(a) && y+8 <= len(b) {
+		if w := binary.LittleEndian.Uint64(a[x:]) ^ binary.LittleEndian.Uint64(b[y:]); w != 0 {
+			k := bits.TrailingZeros64(w) / 8
+			return x + k, y + k
+		}
+		x += 8
+		y += 8
+	}
+	for x < len(a) && y < len(b) && a[x] == b[y] {
+		x++
+		y++
+	}
+	return x, y
+}

@@ -3,9 +3,12 @@ package suffixarray
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"bwtmatch/internal/dna"
 )
 
 // naiveSA builds a suffix array by direct sorting, for differential testing.
@@ -204,8 +207,99 @@ func BenchmarkBuild1MB(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	text := randomText(rng, 1<<20, 4)
 	b.SetBytes(1 << 20)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(text)
+	}
+}
+
+// fuzzText shapes a fuzz input into a text: the raw bytes (sigma 0),
+// or the bytes folded onto 1–4 symbols; with period > 0, the first
+// 1–8 characters repeated to four times the input's length, so
+// homopolymers and short periods, the deepest recursions, come up
+// often.
+func fuzzText(data []byte, sigma uint8, period uint8) []byte {
+	text := bytes.Clone(data)
+	if s := sigma % 5; s > 0 {
+		for i, b := range text {
+			text[i] = 'a' + b%s
+		}
+	}
+	if period > 0 && len(text) > 0 {
+		p := 1 + int(period-1)%min(len(text), 8)
+		long := make([]byte, min(4*len(text), 2048))
+		for i := range long {
+			long[i] = text[i%p]
+		}
+		text = long
+	}
+	return text
+}
+
+// FuzzSuffixArray checks Build against a naive sort and against
+// BuildDC3, and BuildInto over a slice holding stale values.
+func FuzzSuffixArray(f *testing.F) {
+	f.Add([]byte("mississippi"), uint8(0), uint8(0))
+	f.Add([]byte("acagaca"), uint8(4), uint8(0))
+	f.Add([]byte("a"), uint8(1), uint8(1))
+	f.Add([]byte("abcabcab"), uint8(3), uint8(3))
+	f.Add([]byte{0, 255, 0, 255, 1}, uint8(0), uint8(2))
+	f.Add([]byte("cagtcagtcagtaa"), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, sigma, period uint8) {
+		if len(data) > 2048 {
+			data = data[:2048]
+		}
+		text := fuzzText(data, sigma, period)
+		want := naiveSA(text)
+		if got := Build(text); !equalInt32(got, want) {
+			t.Fatalf("Build(%q) = %v, want %v", text, got, want)
+		}
+		if got := BuildDC3(text); !equalInt32(got, want) {
+			t.Fatalf("BuildDC3(%q) = %v, want %v", text, got, want)
+		}
+		sa := make([]int32, len(text)+3)
+		for i := range sa {
+			sa[i] = int32(-7 * i)
+		}
+		BuildInto(text, sa)
+		if !equalInt32(sa[:len(text)], want) || sa[len(text)] != int32(-7*len(text)) {
+			t.Fatalf("BuildInto(%q) over stale values = %v, want %v", text, sa, want)
+		}
+		if err := CheckSA(text, sa[:len(text)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestBuildAllocation pins the in-place construction: Build of a
+// 1 MiB DNA text allocates at most 6 bytes per base, its 4-byte output
+// included, on uniform random bases and on a repeat-rich genome.
+func TestBuildAllocation(t *testing.T) {
+	const n = 1 << 20
+	rat, err := dna.Generate(dna.GenomeConfig{Length: n, GC: 0.42, MarkovBias: 0.15,
+		RepeatFraction: 0.40, TandemFraction: 0.03, Seed: 1003})
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := map[string][]byte{
+		"uniform": randomText(rand.New(rand.NewSource(13)), n, 4),
+		"repeats": rat,
+	}
+	for name, text := range texts {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sa := Build(text)
+		runtime.ReadMemStats(&after)
+		perBase := float64(after.TotalAlloc-before.TotalAlloc) / n
+		if perBase > 6 {
+			t.Errorf("%s: Build allocated %.2f B/base, want at most 6", name, perBase)
+		}
+		t.Logf("%s: %.2f B/base", name, perBase)
+		for _, i := range []int{1, n / 2, n - 1} {
+			if bytes.Compare(text[sa[i-1]:], text[sa[i]:]) >= 0 {
+				t.Fatalf("%s: suffixes out of order at %d", name, i)
+			}
+		}
 	}
 }

@@ -120,13 +120,13 @@ func (x *Index) SearchRefs(pattern []byte, k int) ([]RefMatch, error) {
 	return out, nil
 }
 
-// RefSeq returns a decoded copy of one reference's sequence, or nil on
-// a BaseOnly index, which holds no text, and when a relative tenant
-// cannot rebuild its text.
-func (x *Index) RefSeq(r Ref) []byte {
+// RefSeq returns a decoded copy of one reference's sequence. A
+// BaseOnly index, which holds no text, returns ErrBaseOnly, and a
+// relative tenant returns the error of its text rebuild.
+func (x *Index) RefSeq(r Ref) ([]byte, error) {
 	text, err := x.packedText()
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return alphabet.Decode(text.Slice(nil, r.Start, r.Start+r.Len))
+	return alphabet.Decode(text.Slice(nil, r.Start, r.Start+r.Len)), nil
 }

@@ -18,8 +18,8 @@ func TestNewRefsBasics(t *testing.T) {
 	if len(refs) != 2 || refs[0].Name != "chr1" || refs[1].Start != 8 || refs[1].Len != 8 {
 		t.Fatalf("refs = %+v", refs)
 	}
-	if got := idx.RefSeq(refs[1]); !bytes.Equal(got, []byte("ttttcagt")) {
-		t.Fatalf("RefSeq = %q", got)
+	if got, err := idx.RefSeq(refs[1]); err != nil || !bytes.Equal(got, []byte("ttttcagt")) {
+		t.Fatalf("RefSeq = %q, %v", got, err)
 	}
 }
 
@@ -102,7 +102,11 @@ func TestSearchRefsCoordinates(t *testing.T) {
 			if g.Ref == "chr2" {
 				ref = idx.Refs()[1]
 			}
-			window := idx.RefSeq(ref)[g.Pos : g.Pos+m]
+			seq, err := idx.RefSeq(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window := seq[g.Pos : g.Pos+m]
 			mism := 0
 			for i := range window {
 				if window[i] != pattern[i] {
@@ -176,7 +180,11 @@ func TestRefsSurviveSaveLoad(t *testing.T) {
 	if len(loaded.Refs()) != 2 || loaded.Refs()[0].Name != "chrX" || loaded.Refs()[1].Len != 100 {
 		t.Fatalf("refs after reload = %+v", loaded.Refs())
 	}
-	pattern := idx.RefSeq(idx.Refs()[1])[10:40]
+	seq, err := idx.RefSeq(idx.Refs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := seq[10:40]
 	a, _ := idx.SearchRefs(pattern, 1)
 	b, _ := loaded.SearchRefs(pattern, 1)
 	if len(a) != len(b) {

@@ -276,6 +276,78 @@ func TestRelativeFixtureLoad(t *testing.T) {
 	}
 }
 
+// TestRelativeFixtureRebuild builds the tenant fixture again from its
+// recorded inputs (testdata/README.md) against the loaded base, with
+// the same path hint, and requires the saved container to equal
+// relative_tenant.rel byte for byte: the aligner still emits the
+// alignment it emitted when the fixture was written.
+func TestRelativeFixtureRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(17)) // the fixtures' inputs
+	baseText := randomDNA(rng, 4000)
+	tenText := append(mutateDNA(rng, baseText, 0.02), "gattaca"...)
+	base, err := LoadFile(filepath.Join("testdata", "relative_base.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := NewRelative(base, tenText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.SetBasePath("relative_base.idx")
+	var saved bytes.Buffer
+	if err := rel.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "relative_tenant.rel"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), fixture) {
+		t.Fatalf("rebuilt tenant is %d bytes and differs from the %d-byte fixture", saved.Len(), len(fixture))
+	}
+}
+
+// TestRelativeSwappedBaseRefused opens each of two containers against
+// the other's base, after both bases' fingerprints are cached by the
+// builds, and requires ErrFormat; each still opens against its own
+// base and against a BaseOnly copy of it, which shares the cached
+// fingerprint.
+func TestRelativeSwappedBaseRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(403))
+	var bases [2]*Index
+	var saved [2][]byte
+	for i := range bases {
+		text := randomDNA(rng, 3000)
+		base, err := New(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := NewRelative(base, mutateDNA(rng, text, 0.02))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rel.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bases[i], saved[i] = base, buf.Bytes()
+	}
+	for i := range bases {
+		own, other := bases[i], bases[1-i]
+		if _, err := LoadRelative(bytes.NewReader(saved[i]), other); !errors.Is(err, ErrFormat) {
+			t.Fatalf("container %d against the other base: %v, want ErrFormat", i, err)
+		}
+		if _, err := LoadRelative(bytes.NewReader(saved[i]), other.BaseOnly()); !errors.Is(err, ErrFormat) {
+			t.Fatalf("container %d against the other base, base-only: %v, want ErrFormat", i, err)
+		}
+		for _, b := range []*Index{own, own.BaseOnly()} {
+			if _, err := LoadRelative(bytes.NewReader(saved[i]), b); err != nil {
+				t.Fatalf("container %d against its own base: %v", i, err)
+			}
+		}
+	}
+}
+
 // TestRelativeRefs checks reference-coordinate search over a relative
 // multi-reference build.
 func TestRelativeRefs(t *testing.T) {

@@ -135,7 +135,7 @@ func TestTextResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range loaded.Refs() {
-		if got := loaded.RefSeq(r); !bytes.Equal(got, target[r.Start:r.Start+r.Len]) {
+		if got, err := loaded.RefSeq(r); err != nil || !bytes.Equal(got, target[r.Start:r.Start+r.Len]) {
 			t.Fatalf("RefSeq(%s) differs from the reference", r.Name)
 		}
 	}

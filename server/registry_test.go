@@ -410,7 +410,10 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	// rebuilding each tenant's own text.
 	methods := []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.STree,
 		bwtmatch.AlgorithmANoPhi, bwtmatch.Amir, bwtmatch.Cole, bwtmatch.Online, bwtmatch.Seed}
-	pattern := r0.RefSeq(bwtmatch.Ref{Start: 200, Len: 30})
+	pattern, err := r0.RefSeq(bwtmatch.Ref{Start: 200, Len: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rx := range []*bwtmatch.RelativeIndex{r0, r1} {
 		want, _, err := rx.SearchMethodTraced(pattern, 2, bwtmatch.AlgorithmA, nil)
 		if err != nil || rx == r0 && len(want) == 0 {
@@ -454,9 +457,8 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("base Save wrote %d bytes", buf.Len())
 	}
-	if seq := b.RefSeq(bwtmatch.Ref{Start: 0, Len: 10}); seq != nil {
-		t.Errorf("base RefSeq = %q, want nil", seq)
-	}
+	_, err = b.RefSeq(bwtmatch.Ref{Start: 0, Len: 10})
+	refused("RefSeq", err)
 	_, err = b.MEMs(pattern, 8)
 	refused("MEMs", err)
 	_, err = b.SearchWildcard([]byte("acgnt"))
