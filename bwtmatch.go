@@ -3,18 +3,15 @@ package bwtmatch
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"bwtmatch/internal/alphabet"
 	"bwtmatch/internal/amir"
 	"bwtmatch/internal/core"
 	"bwtmatch/internal/fmindex"
-	"bwtmatch/internal/kerrors"
 	"bwtmatch/internal/obs"
 	"bwtmatch/internal/seedext"
 	"bwtmatch/internal/suffixtree"
-	"bwtmatch/internal/wildcard"
 )
 
 // Method selects the matching algorithm of a search. The zero value is
@@ -132,13 +129,6 @@ type Index struct {
 
 	seedOnce sync.Once
 	seedM    *seedext.Matcher
-
-	wildOnce sync.Once
-	wildM    *wildcard.Matcher
-
-	biOnce sync.Once
-	bi     *fmindex.BiIndex
-	biErr  error
 }
 
 // ErrInput reports unusable target or pattern data.
@@ -216,9 +206,9 @@ func (x *Index) packedText() (*alphabet.Packed, error) {
 }
 
 // rankText returns the target at one rank per base, the form the
-// methods off the production path scan: Amir's Aho–Corasick pass, Cole,
-// Online, MEMs, SearchWildcard and SearchEdits. They share one copy,
-// decoded from the packed text when the first of them runs.
+// methods off the production path scan: Amir's Aho–Corasick pass, Cole
+// and Online. They share one copy, decoded from the packed text when the
+// first of them runs.
 func (x *Index) rankText() ([]byte, error) {
 	text, err := x.packedText()
 	if err != nil {
@@ -256,126 +246,6 @@ type Tracer = obs.Tracer
 // SearchMethodScratch for the telemetry contract.
 func (x *Index) SearchMethodTraced(pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
 	return searchPooled(x, pattern, k, method, tr)
-}
-
-// MEM is one maximal exact match of a pattern: pattern[Start:Start+Len)
-// occurs in the target at every position of Positions and can be extended
-// in neither direction.
-type MEM struct {
-	Start, Len int
-	Positions  []int
-}
-
-// MEMs returns the maximal exact matches of the pattern with length at
-// least minLen — the seeding primitive of modern aligners, computed on a
-// bidirectional FM-index built lazily on first use (it adds a second,
-// forward index over the target).
-func (x *Index) MEMs(pattern []byte, minLen int) ([]MEM, error) {
-	p, err := alphabet.Encode(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: empty pattern", ErrInput)
-	}
-	text, err := x.rankText()
-	if err != nil {
-		return nil, err
-	}
-	x.biOnce.Do(func() {
-		x.bi, x.biErr = fmindex.BuildBi(text, fmindex.DefaultOptions())
-	})
-	if x.biErr != nil {
-		return nil, x.biErr
-	}
-	raw := x.bi.MEMs(p, minLen)
-	out := make([]MEM, len(raw))
-	var buf []int32
-	for i, m := range raw {
-		if buf, err = x.bi.Fwd().Locate(m.Iv.Fwd, buf[:0]); err != nil {
-			return nil, err
-		}
-		positions := make([]int, len(buf))
-		for j, q := range buf {
-			positions[j] = int(q)
-		}
-		sort.Ints(positions)
-		out[i] = MEM{Start: m.Start, Len: m.Len, Positions: positions}
-	}
-	return out, nil
-}
-
-// wildcardRank is the internal marker for don't-care positions; it lies
-// outside the alphabet's rank range.
-const wildcardRank = byte(0x7F)
-
-// SearchWildcard finds all exact occurrences of a pattern containing
-// don't-care symbols ('n' or 'N'), each matching any single base — the
-// paper's §II "string matching with don't-cares", provided as an
-// extension. Positions are sorted.
-func (x *Index) SearchWildcard(pattern []byte) ([]int, error) {
-	p := make([]byte, len(pattern))
-	for i, b := range pattern {
-		if b == 'n' || b == 'N' {
-			p[i] = wildcardRank
-			continue
-		}
-		r, err := alphabet.Rank(b)
-		if err != nil || r == alphabet.Sentinel {
-			return nil, fmt.Errorf("%w: %q at position %d", ErrInput, b, i)
-		}
-		p[i] = r
-	}
-	if len(p) == 0 {
-		return nil, fmt.Errorf("%w: empty pattern", ErrInput)
-	}
-	text, err := x.rankText()
-	if err != nil {
-		return nil, err
-	}
-	x.wildOnce.Do(func() { x.wildM = wildcard.New(x.searcher.Index(), text) })
-	pos, err := x.wildM.Find(p, wildcardRank)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	out := make([]int, len(pos))
-	for i, q := range pos {
-		out[i] = int(q)
-	}
-	return out, nil
-}
-
-// EditMatch is one k-errors (Levenshtein) occurrence: some substring of
-// the target ending at End (exclusive) is within Distance edits of the
-// pattern.
-type EditMatch struct {
-	End      int
-	Distance int
-}
-
-// SearchEdits finds all positions where the pattern occurs with at most k
-// edit operations (substitutions, insertions, deletions) — the
-// Levenshtein-distance sibling of Search, provided as an extension (the
-// paper's §II "string matching with k errors"). It runs the O(kn) banded
-// online matcher over the target.
-func (x *Index) SearchEdits(pattern []byte, k int) ([]EditMatch, error) {
-	p, err := alphabet.Encode(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	text, err := x.rankText()
-	if err != nil {
-		return nil, err
-	}
-	ms, err := kerrors.FindBanded(text, p, k)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInput, err)
-	}
-	out := make([]EditMatch, len(ms))
-	for i, m := range ms {
-		out[i] = EditMatch{End: int(m.End), Distance: m.Distance}
-	}
-	return out, nil
 }
 
 // MTreeLeaves runs Algorithm A and returns the paper's n′ statistic

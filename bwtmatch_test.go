@@ -270,73 +270,6 @@ func TestEndToEndReadMapping(t *testing.T) {
 	}
 }
 
-func TestSearchEdits(t *testing.T) {
-	idx, err := New([]byte("acgtacgtacgt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "acta" is within 1 edit of "acgta" (deletion of g).
-	ms, err := idx.SearchEdits([]byte("acta"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 {
-		t.Fatal("no edit matches")
-	}
-	found := false
-	for _, m := range ms {
-		if m.End == 5 && m.Distance == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected occurrence ending at 5 with distance 1: %v", ms)
-	}
-	if _, err := idx.SearchEdits([]byte("aNg"), 1); err == nil {
-		t.Error("dirty pattern accepted")
-	}
-	if _, err := idx.SearchEdits(nil, 1); err == nil {
-		t.Error("empty pattern accepted")
-	}
-}
-
-func TestMEMs(t *testing.T) {
-	rng := rand.New(rand.NewSource(106))
-	target := randomDNA(rng, 2000)
-	idx, _ := New(target)
-	// A read copied from the target with one mutation splits into (at
-	// most) two MEMs around the mutated base.
-	p := 700
-	read := append([]byte(nil), target[p:p+60]...)
-	read[30] = "acgt"[("acgt"[rng.Intn(4)]+1)%4] // guaranteed-ish flip
-	mems, err := idx.MEMs(read, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mems) == 0 {
-		t.Fatal("no MEMs found")
-	}
-	for _, m := range mems {
-		if m.Len < 10 {
-			t.Fatalf("MEM shorter than minLen: %+v", m)
-		}
-		if len(m.Positions) == 0 {
-			t.Fatalf("MEM without positions: %+v", m)
-		}
-		for _, pos := range m.Positions {
-			if !bytes.Equal(target[pos:pos+m.Len], read[m.Start:m.Start+m.Len]) {
-				t.Fatalf("MEM position %d does not match", pos)
-			}
-		}
-	}
-	if _, err := idx.MEMs([]byte("aNg"), 5); err == nil {
-		t.Error("dirty pattern accepted")
-	}
-	if _, err := idx.MEMs(nil, 5); err == nil {
-		t.Error("empty pattern accepted")
-	}
-}
-
 func TestSearchBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	target := randomDNA(rng, 3000)
@@ -386,34 +319,6 @@ func TestSearchBestNoMatch(t *testing.T) {
 	}
 	if best != -1 || ms != nil {
 		t.Fatalf("expected no match, got %d %v", best, ms)
-	}
-}
-
-func TestSearchWildcard(t *testing.T) {
-	idx, err := New([]byte("acgtacatacgt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, err := idx.SearchWildcard([]byte("acNt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pos) != 3 || pos[0] != 0 || pos[1] != 4 || pos[2] != 8 {
-		t.Fatalf("SearchWildcard = %v, want [0 4 8]", pos)
-	}
-	// All wildcards.
-	pos, err = idx.SearchWildcard([]byte("nn"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pos) != 11 {
-		t.Fatalf("all-wildcard = %d positions", len(pos))
-	}
-	if _, err := idx.SearchWildcard([]byte("acX")); err == nil {
-		t.Error("invalid character accepted")
-	}
-	if _, err := idx.SearchWildcard(nil); err == nil {
-		t.Error("empty pattern accepted")
 	}
 }
 

@@ -11,11 +11,13 @@
 // resolved by deriving mismatch information from the pattern against
 // itself (a mismatching tree), rather than re-searching the index.
 //
-// Besides Algorithm A, the index exposes the paper's three experimental
+// Besides Algorithm A, every index runs the paper's three experimental
 // baselines — the φ-pruned brute-force BWT search of its reference [34],
-// Amir's filtering method, and Cole's suffix-tree search — plus two online
-// matchers, so that the paper's evaluation can be reproduced end to end
-// (see EXPERIMENTS.md).
+// Amir's filtering method, and Cole's suffix-tree search — its two
+// ablations, STree (no φ bound, no memo) and AlgorithmANoPhi, the
+// index-free Online matcher and the Seed seed-and-extend matcher, so
+// that the paper's evaluation can be reproduced end to end (see
+// EXPERIMENTS.md).
 //
 // # Quick start
 //

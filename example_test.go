@@ -43,20 +43,6 @@ func ExampleSearchMethod() {
 	// Cole: 3 matches
 }
 
-func ExampleIndex_SearchWildcard() {
-	idx, err := bwtmatch.New([]byte("acgtacatacgt"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	pos, err := idx.SearchWildcard([]byte("acNt"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(pos)
-	// Output:
-	// [0 4 8]
-}
-
 func ExampleNewRefs() {
 	idx, err := bwtmatch.NewRefs([]bwtmatch.Reference{
 		{Name: "chr1", Seq: []byte("acgtacgtaaaa")},
@@ -76,19 +62,4 @@ func ExampleNewRefs() {
 	// chr1:0
 	// chr1:4
 	// chr2:2
-}
-
-func ExampleIndex_SearchEdits() {
-	idx, err := bwtmatch.New([]byte("acgtacgtacgt"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	// "acta" is one deletion away from "acgta".
-	matches, err := idx.SearchEdits([]byte("acta"), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d loci within 1 edit\n", len(matches))
-	// Output:
-	// 2 loci within 1 edit
 }

@@ -16,12 +16,15 @@ import (
 // FuzzSearchMethods cross-checks the four BWT-path methods and Seed
 // against the naive oracle on arbitrary byte inputs (sanitized into the
 // DNA alphabet): every match position and its mismatch count. The φ
-// bound is capped at k+1, so this is the broadest guard on it. Each
-// input also builds a relative tenant of the target against a base
-// derived from it (fuzzBase), whose four BWT-path methods must return
-// the standalone index's matches and work counters: the tenant rank
-// bridge under the walk. Run with `go test -fuzz=FuzzSearchMethods` for
-// continuous fuzzing; the seed corpus runs in ordinary `go test`.
+// bound is capped at k+1, so this is the broadest guard on it. A
+// three-shard index of each target must return the standalone index's
+// matches for the same five methods: the shard overlaps and the owned
+// ranges. Each input also builds a relative tenant of the target
+// against a base derived from it (fuzzBase), whose four BWT-path
+// methods must return the standalone index's matches and work
+// counters: the tenant rank bridge under the walk. Run with
+// `go test -fuzz=FuzzSearchMethods` for continuous fuzzing; the seed
+// corpus runs in ordinary `go test`.
 func FuzzSearchMethods(f *testing.F) {
 	f.Add([]byte("acagaca"), []byte("tcaca"), byte(2))
 	f.Add([]byte("ccacacagaagcc"), []byte("aaaaacaaac"), byte(4))
@@ -68,6 +71,10 @@ func FuzzSearchMethods(f *testing.F) {
 		if err := idx.searcher.Index().CheckInvariants(); err != nil {
 			t.Fatalf("invariants(%q): %v", cleanT, err)
 		}
+		sh, err := NewSharded(cleanT, WithShards(3), WithMaxPatternLen(40))
+		if err != nil {
+			t.Fatalf("NewSharded(%q): %v", cleanT, err)
+		}
 		tr, _ := alphabet.Encode(cleanT)
 		pr, _ := alphabet.Encode(cleanP)
 		want := naive.Find(tr, pr, k)
@@ -75,6 +82,16 @@ func FuzzSearchMethods(f *testing.F) {
 			got, _, err := SearchMethod(idx, cleanP, k, method)
 			if err != nil {
 				t.Fatalf("%v: %v", method, err)
+			}
+			// A sharded index sums Stats across shards, so only its
+			// matches are compared.
+			shGot, _, err := SearchMethod(sh, cleanP, k, method)
+			if err != nil {
+				t.Fatalf("sharded %v: %v", method, err)
+			}
+			if !slices.Equal(shGot, got) {
+				t.Fatalf("sharded %v: %v, standalone %v (target %q pattern %q k=%d)",
+					method, shGot, got, cleanT, cleanP, k)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%v found %d, oracle %d (target %q pattern %q k=%d)",

@@ -138,9 +138,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig mirrors the paper's 50-read workloads at scale 8.
-func DefaultConfig() Config { return Config{Scale: 8, Reads: 50, Seed: 42} }
-
 func (cfg *Config) normalize() {
 	if cfg.Scale < 1 {
 		cfg.Scale = 8

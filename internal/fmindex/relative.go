@@ -193,9 +193,6 @@ func (idx *Index) relBWT() []byte {
 // IsRelative reports whether the index uses the relative layout.
 func (idx *Index) IsRelative() bool { return idx.rel != nil }
 
-// RelBase returns the shared base index (nil for standalone layouts).
-func (idx *Index) RelBase() *Index { return idx.relBase }
-
 // RelDelta returns the delta payload (nil for standalone layouts).
 func (idx *Index) RelDelta() *relative.Delta { return idx.rel }
 

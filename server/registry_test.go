@@ -459,12 +459,6 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	}
 	_, err = b.RefSeq(bwtmatch.Ref{Start: 0, Len: 10})
 	refused("RefSeq", err)
-	_, err = b.MEMs(pattern, 8)
-	refused("MEMs", err)
-	_, err = b.SearchWildcard([]byte("acgnt"))
-	refused("SearchWildcard", err)
-	_, err = b.SearchEdits(pattern, 1)
-	refused("SearchEdits", err)
 	_, err = b.MTreeLeaves(pattern, 1)
 	refused("MTreeLeaves", err)
 	res := b.MapAllContext(context.Background(), []bwtmatch.Query{{Pattern: pattern, K: 1}}, bwtmatch.AlgorithmA, 1)
