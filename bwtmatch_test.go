@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -212,6 +213,22 @@ func TestOptions(t *testing.T) {
 	}
 	if small.Len() != len(target) {
 		t.Errorf("Len = %d", small.Len())
+	}
+}
+
+// TestWithBuildWorkersCapped checks that a build-worker count from
+// outside the program (-build-p, server.Config.BuildWorkers) is bounded
+// by GOMAXPROCS, and that counts within the bound pass through.
+func TestWithBuildWorkersCapped(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, want int }{
+		{0, 0}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1_000_000, procs},
+	} {
+		cfg := defaultConfig()
+		WithBuildWorkers(tc.n)(&cfg)
+		if cfg.fm.Workers != tc.want {
+			t.Errorf("WithBuildWorkers(%d): Workers = %d, want %d", tc.n, cfg.fm.Workers, tc.want)
+		}
 	}
 }
 

@@ -38,12 +38,12 @@ type Options struct {
 	// SARate is the suffix-array sampling rate used by Locate: every
 	// SARate-th text position is kept. Smaller is faster, larger smaller.
 	SARate int
-	// Workers is the goroutine count for every parallelizable phase of
-	// Build: the suffix array itself (pDC3, suffixarray.BuildParallel,
-	// bit-identical to the serial SA-IS build) and everything after it
-	// (BWT extraction, occ checkpoints, SA sampling, packing). 0 or 1
-	// builds serially with SA-IS. Workers affects construction only; it
-	// is not serialized with the index.
+	// Workers is the goroutine count for every phase of Build but the
+	// suffix array: text validation, BWT extraction, character counts,
+	// packing, occ checkpoints and SA sampling. The suffix array itself
+	// is always built serially by SA-IS. 0 or 1 builds every phase
+	// serially. Workers affects construction only; it is not serialized
+	// with the index.
 	Workers int
 	// Phases, when non-nil, accumulates the wall-clock breakdown of the
 	// construction phases (DESIGN.md §12): a serial sequence of builds
@@ -146,20 +146,12 @@ func Build(text []byte, opts Options) (*Index, error) {
 	idx.deriveOccShift()
 
 	// Suffix array of text+$; the sentinel suffix sorts first, so SA row 0
-	// is position n and rows 1..n are Build(text) shifted. With Workers
-	// > 1 the array comes from pDC3 (suffixarray.BuildParallel), which
-	// is bit-identical to the serial SA-IS build — the suffix array of a
-	// text is unique, so the choice of algorithm never leaks into the
-	// index bytes.
+	// is position n and rows 1..n are Build(text) shifted.
 	var ph BuildPhases
 	phaseStart := time.Now()
 	sa := make([]int32, n+1)
 	sa[0] = int32(n)
-	if workers > 1 {
-		copy(sa[1:], suffixarray.BuildParallel(text, workers))
-	} else {
-		suffixarray.BuildInto(text, sa[1:])
-	}
+	suffixarray.BuildInto(text, sa[1:])
 	phaseStart = markPhase(&ph.SANS, phaseStart)
 
 	// BWT: L[i] = text[sa[i]-1], or $ when sa[i] == 0 (paper eq. (3)),

@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -89,6 +90,27 @@ func TestBuildPhases(t *testing.T) {
 		if total := ph.SANS + ph.BWTNS + ph.OccNS + ph.PackNS; total <= 0 {
 			t.Fatalf("workers=%d: empty breakdown: %+v", workers, ph)
 		}
+	}
+}
+
+// BenchmarkBuild times a whole Build of a 1 MiB uniform text at one
+// and two workers. The suffix array is serial either way, so w2 gains
+// only the phases after it; B/op divided by 2^20 is the allocation per
+// base.
+func BenchmarkBuild(b *testing.B) {
+	text := randomRanksP(rand.New(rand.NewSource(3)), 1<<20)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Build(text, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

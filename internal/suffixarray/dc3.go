@@ -2,14 +2,9 @@ package suffixarray
 
 // BuildDC3 constructs the suffix array with the Kärkkäinen–Sanders DC3
 // (skew) algorithm — the other classic linear-time construction the
-// BWT-construction literature the paper cites builds on. It serves two
-// roles: an independent implementation to cross-validate SA-IS (the two
-// must agree on every input), and the serial reference for the parallel
-// builder — BuildParallel's pdc3 is this recursion with the three
-// data-parallel phases (radix passes, triple naming, final merge)
-// actually run in parallel, degrading back to dc3 below the work
-// thresholds. SA-IS stays the serial default (Build): it is faster at
-// one worker; DC3's phase structure is what parallelizes cleanly.
+// BWT-construction literature the paper cites builds on. It is an
+// independent implementation to cross-validate SA-IS (the two must
+// agree on every input); Build, SA-IS, is the one the index uses.
 func BuildDC3(text []byte) []int32 {
 	n := len(text)
 	sa := make([]int32, n)

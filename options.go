@@ -1,6 +1,10 @@
 package bwtmatch
 
-import "bwtmatch/internal/fmindex"
+import (
+	"runtime"
+
+	"bwtmatch/internal/fmindex"
+)
 
 // config collects index construction settings.
 type config struct {
@@ -42,15 +46,15 @@ func WithSARate(rate int) Option {
 	return func(c *config) { c.fm.SARate = rate }
 }
 
-// WithBuildWorkers parallelizes index construction across n goroutines
-// for every phase of the build, including the suffix array itself:
-// n >= 2 switches SA construction to parallel DC3 (pDC3), which is
-// bit-identical to the serial SA-IS default, and parallelizes
-// everything after it (BWT extraction, rankall checkpoints, SA
-// sampling, packing) — see DESIGN.md §8 and §12. n <= 1 builds
-// serially (the default); queries are unaffected.
+// WithBuildWorkers runs every phase of index construction but the
+// suffix array (text validation, BWT extraction, character counts,
+// packing, rankall checkpoints, SA sampling) across n goroutines. The
+// suffix array itself is always built serially by SA-IS — see
+// DESIGN.md §8 and §12. n is capped at runtime.GOMAXPROCS(0), since
+// goroutines beyond the CPUs only add overhead. n <= 1 builds serially
+// (the default); the index bytes and queries are unaffected.
 func WithBuildWorkers(n int) Option {
-	return func(c *config) { c.fm.Workers = n }
+	return func(c *config) { c.fm.Workers = min(n, runtime.GOMAXPROCS(0)) }
 }
 
 // BuildPhases is the wall-clock breakdown of index construction: the
