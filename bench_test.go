@@ -51,17 +51,18 @@ func reads(b *testing.B, c *bench.Corpus, length, count int) [][]byte {
 	return rs
 }
 
-// timeReads runs every read through the method once per iteration.
-func timeReads(b *testing.B, c *bench.Corpus, rs [][]byte, k int, m bwtmatch.Method) {
+// timeReads runs every read through the method once per iteration,
+// after preparing it (a baseline's structure) outside the timing.
+func timeReads(b *testing.B, c *bench.Corpus, rs [][]byte, k int, m bench.Method) {
 	b.Helper()
-	// Warm lazy structures (Cole's suffix tree) outside the timing.
-	if _, _, err := bwtmatch.SearchMethod(c.Index, rs[0], k, m); err != nil {
+	search, err := m.Prepare(c)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rs {
-			if _, _, err := bwtmatch.SearchMethod(c.Index, r, k, m); err != nil {
+			if _, err := search(r, k); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,11 +135,11 @@ func BenchmarkTable2_MTreeLeaves(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				total = 0
 				for _, r := range rs {
-					n, err := c.Index.MTreeLeaves(r, g.k)
+					_, st, err := bwtmatch.SearchMethod(c.Index, r, g.k, bwtmatch.AlgorithmA)
 					if err != nil {
 						b.Fatal(err)
 					}
-					total += n
+					total += st.MTreeLeaves
 				}
 			}
 			b.ReportMetric(float64(total)/float64(len(rs)), "leaves/read")
@@ -191,7 +192,7 @@ func BenchmarkSeedExtension(b *testing.B) {
 	c := corpus(b, 0)
 	rs := reads(b, c, 100, 10)
 	for _, k := range []int{2, 4} {
-		for _, m := range []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.Seed} {
+		for _, m := range []bench.Method{bench.IndexMethod(bwtmatch.AlgorithmA), bench.IndexMethod(bwtmatch.Seed)} {
 			b.Run(fmt.Sprintf("k=%d/%v", k, m), func(b *testing.B) {
 				timeReads(b, c, rs, k, m)
 			})
@@ -204,9 +205,9 @@ func BenchmarkSeedExtension(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	c := corpus(b, 0)
 	rs := reads(b, c, 100, 10)
-	variants := []bwtmatch.Method{
-		bwtmatch.STree, bwtmatch.BWTBaseline,
-		bwtmatch.AlgorithmANoPhi, bwtmatch.AlgorithmA,
+	variants := []bench.Method{
+		bench.IndexMethod(bwtmatch.STree), bench.IndexMethod(bwtmatch.BWTBaseline),
+		bench.IndexMethod(bwtmatch.AlgorithmANoPhi), bench.IndexMethod(bwtmatch.AlgorithmA),
 	}
 	for _, k := range []int{3, 5} {
 		for _, m := range variants {

@@ -6,16 +6,14 @@ import (
 	"sync"
 
 	"bwtmatch/internal/alphabet"
-	"bwtmatch/internal/amir"
 	"bwtmatch/internal/core"
 	"bwtmatch/internal/fmindex"
 	"bwtmatch/internal/obs"
 	"bwtmatch/internal/seedext"
-	"bwtmatch/internal/suffixtree"
 )
 
-// Method selects the matching algorithm of a search. The zero value is
-// the paper's Algorithm A.
+// Method selects the matching algorithm of a search, each over the
+// index. The zero value is the paper's Algorithm A.
 type Method int
 
 const (
@@ -31,13 +29,6 @@ const (
 	// AlgorithmANoPhi is Algorithm A without the φ(i) bound, exactly as
 	// the paper states it (ablation; see DESIGN.md §3.5).
 	AlgorithmANoPhi
-	// Amir is the filtering baseline: exact break occurrences, candidate
-	// marking, verification.
-	Amir
-	// Cole is the suffix-tree brute-force baseline.
-	Cole
-	// Online is the index-free Landau–Vishkin style kangaroo matcher.
-	Online
 	// Seed is index-based seed-and-extend (extension, DESIGN.md): the
 	// pigeonhole filter of Amir with seed occurrences found on the BWT
 	// index instead of by scanning — per-query work independent of the
@@ -56,12 +47,6 @@ func (m Method) String() string {
 		return "S-tree"
 	case AlgorithmANoPhi:
 		return "A()-nophi"
-	case Amir:
-		return "Amir"
-	case Cole:
-		return "Cole"
-	case Online:
-		return "Online"
 	case Seed:
 		return "Seed"
 	default:
@@ -95,10 +80,8 @@ type Stats struct {
 	PhiSteps int
 	// MemoHits counts repeated-interval derivations (AlgorithmA).
 	MemoHits int
-	// Candidates counts verified alignments (Amir).
+	// Candidates counts verified alignments (Seed).
 	Candidates int
-	// Visited counts suffix tree nodes touched (Cole).
-	Visited int
 	// LocateNS is the wall time (nanoseconds) spent resolving surviving
 	// BWT intervals to text positions, for the BWT-path methods. It lets
 	// benchmarks separate traversal cost from SA-sample walk cost.
@@ -114,18 +97,6 @@ type Index struct {
 	textErr  error
 	searcher *core.Searcher
 	refs     []Ref // reference table for NewRefs indexes; nil otherwise
-
-	// ranks is the target decoded to one rank per base, for the
-	// text-scanning methods off the production path; nil until one runs.
-	ranksOnce sync.Once
-	ranks     []byte
-
-	amirOnce sync.Once
-	amirM    *amir.Matcher
-
-	coleOnce sync.Once
-	coleTree *suffixtree.Tree
-	coleErr  error
 
 	seedOnce sync.Once
 	seedM    *seedext.Matcher
@@ -181,8 +152,8 @@ func (x *Index) Len() int { return x.searcher.N() }
 // reads of its base: the 2-bit BWT, the occ checkpoints and the C
 // array, shared with x. It holds no text, no Locate samples and no
 // reference table, and it serves only as the base of relative tenants
-// (NewRelative, LoadRelative): every search, Save, text scan and
-// RefSeq returns ErrBaseOnly. LoadRelativeFile resolves a container's
+// (NewRelative, LoadRelative): every search, Save and RefSeq returns
+// ErrBaseOnly. LoadRelativeFile resolves a container's
 // base path hint to one.
 func (x *Index) BaseOnly() *Index {
 	return &Index{searcher: core.NewSearcherFromIndex(x.searcher.Index().RankOnly(), x.Len())}
@@ -194,7 +165,7 @@ func (x *Index) baseOnly() bool { return x.searcher.Index().IsRankOnly() }
 // packedText returns the 2-bit target, reconstructing it on first use
 // for layouts that do not keep the text resident (the relative layout
 // rebuilds it from the BWT via one LF walk). The BWT search paths never
-// call this; Seed, Save, RefSeq and the text-scanning methods do.
+// call this; Seed, Save and RefSeq do.
 func (x *Index) packedText() (*alphabet.Packed, error) {
 	if x.baseOnly() {
 		return nil, ErrBaseOnly
@@ -205,25 +176,11 @@ func (x *Index) packedText() (*alphabet.Packed, error) {
 	return x.text, x.textErr
 }
 
-// rankText returns the target at one rank per base, the form the
-// methods off the production path scan: Amir's Aho–Corasick pass, Cole
-// and Online. They share one copy, decoded from the packed text when the
-// first of them runs.
-func (x *Index) rankText() ([]byte, error) {
-	text, err := x.packedText()
-	if err != nil {
-		return nil, err
-	}
-	x.ranksOnce.Do(func() { x.ranks = text.Unpack() })
-	return x.ranks, nil
-}
-
 // SizeBytes estimates the resident size of the BWT index structures.
 func (x *Index) SizeBytes() int { return x.searcher.Index().SizeBytes() }
 
 // ResidentBytes is the resident cost of a standalone index: the BWT
-// structures (SizeBytes) plus the packed target text, 0.25 B/base. The
-// rank copy the off-path methods decode on first use is not counted. A
+// structures (SizeBytes) plus the packed target text, 0.25 B/base. A
 // BaseOnly index holds no text and no Locate samples, so it costs its
 // 2-bit BWT and occ checkpoints alone. A relative tenant rebuilds its
 // text only when a text path needs it; its cost is DeltaBytes, and its
@@ -246,26 +203,6 @@ type Tracer = obs.Tracer
 // SearchMethodScratch for the telemetry contract.
 func (x *Index) SearchMethodTraced(pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
 	return searchPooled(x, pattern, k, method, tr)
-}
-
-// MTreeLeaves runs Algorithm A and returns the paper's n′ statistic
-// without locating occurrences (used by the Table 2 reproduction).
-// It validates the query as Search does.
-func (x *Index) MTreeLeaves(pattern []byte, k int) (int, error) {
-	if x.baseOnly() {
-		return 0, ErrBaseOnly
-	}
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	p, err := sc.encode(pattern, k)
-	if err != nil {
-		return 0, err
-	}
-	cs, err := x.searcher.CountLeaves(sc.core, p, k)
-	if err != nil {
-		return 0, err
-	}
-	return cs.MTreeLeaves, nil
 }
 
 // coreMethods maps the public BWT-path methods onto core's selectors.

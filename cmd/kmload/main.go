@@ -41,7 +41,7 @@ func main() {
 	index := flag.String("index", "", "index name to search (required unless -indexes)")
 	indexes := flag.String("indexes", "", "comma-separated index names; each batch targets one, Zipf-skewed toward the first — multi-tenant traffic (overrides -index)")
 	k := flag.Int("k", 2, "mismatch budget")
-	method := flag.String("method", "a", "search method (a|bwt|stree|amir|cole|online|seed)")
+	method := flag.String("method", "a", "search method ("+server.MethodTokens()+")")
 	clients := flag.Int("clients", 32, "concurrent client goroutines")
 	requests := flag.Int("requests", 200, "total batches to send across all clients")
 	batch := flag.Int("batch", 16, "reads per batch")

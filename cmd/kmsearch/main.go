@@ -7,9 +7,9 @@
 // concatenated); reads from FASTQ, FASTA or bare lines. The index can be
 // persisted so repeated runs skip construction:
 //
-//	kmsearch -genome g.fa -save g.bwt                # build and save
-//	kmsearch -index g.bwt -reads r.fq -k 4 [-method a|bwt|stree|amir|cole|online]
-//	kmsearch -genome g.fa -reads r.fq -k 4 -p 8      # 8 worker goroutines
+//	kmsearch -genome g.fa -save g.bwt                     # build and save
+//	kmsearch -index g.bwt -reads r.fq -k 4 -method seed   # -help lists the methods
+//	kmsearch -genome g.fa -reads r.fq -k 4 -p 8           # 8 worker goroutines
 //
 // -trace records the search path of every read as Chrome trace-event
 // JSON (phase spans plus the paper's leaf/merge/fallback instants):
@@ -45,13 +45,13 @@ func main() {
 	savePath := flag.String("save", "", "save the built index to this file")
 	readsPath := flag.String("reads", "", "reads file (FASTQ, FASTA or one read per line)")
 	k := flag.Int("k", 4, "maximum number of mismatches")
-	methodName := flag.String("method", "a", "a|bwt|stree|amir|cole|online|seed")
+	methodName := flag.String("method", "a", server.MethodTokens())
 	workers := flag.Int("p", 1, "worker goroutines")
 	verbose := flag.Bool("v", false, "print per-read positions")
 	sam := flag.Bool("sam", false, "emit SAM records instead of the compact format")
 	serverURL := flag.String("server", "", "kmserved base URL; -index then names a registered index")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (serializes the search)")
-	buildP := flag.Int("build-p", 1, "parallel workers for index construction (-g path only)")
+	buildP := flag.Int("build-p", 1, "parallel workers for index construction (-genome path only)")
 	flag.Parse()
 
 	method, err := server.ParseMethod(*methodName)

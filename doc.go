@@ -11,13 +11,12 @@
 // resolved by deriving mismatch information from the pattern against
 // itself (a mismatching tree), rather than re-searching the index.
 //
-// Besides Algorithm A, every index runs the paper's three experimental
-// baselines — the φ-pruned brute-force BWT search of its reference [34],
-// Amir's filtering method, and Cole's suffix-tree search — its two
-// ablations, STree (no φ bound, no memo) and AlgorithmANoPhi, the
-// index-free Online matcher and the Seed seed-and-extend matcher, so
-// that the paper's evaluation can be reproduced end to end (see
-// EXPERIMENTS.md).
+// Besides Algorithm A, every index runs the paper's BWT baseline (the
+// φ-pruned brute-force search of its reference [34]), the ablations
+// STree (no φ bound, no memo) and AlgorithmANoPhi, and the Seed
+// seed-and-extend matcher. The paper's text-scanning baselines, Amir's
+// filter and Cole's suffix tree, run only in the reproduction harness
+// (internal/bench, cmd/kmbench; see EXPERIMENTS.md).
 //
 // # Quick start
 //

@@ -30,7 +30,7 @@ func ExampleSearchMethod() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, method := range []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.Amir, bwtmatch.Cole} {
+	for _, method := range []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.Seed} {
 		matches, _, err := bwtmatch.SearchMethod(idx, []byte("acagaca"), 2, method)
 		if err != nil {
 			log.Fatal(err)
@@ -39,8 +39,8 @@ func ExampleSearchMethod() {
 	}
 	// Output:
 	// A(): 3 matches
-	// Amir: 3 matches
-	// Cole: 3 matches
+	// BWT: 3 matches
+	// Seed: 3 matches
 }
 
 func ExampleNewRefs() {

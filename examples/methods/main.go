@@ -1,9 +1,9 @@
 // Method comparison: run the same k-mismatch queries through every
-// implemented matcher — the paper's Algorithm A, its three experimental
-// baselines (BWT with φ pruning, Amir's filter, Cole's suffix tree) and
-// the online Landau–Vishkin matcher — verifying they agree and printing
-// their work statistics side by side. A compact, runnable version of the
-// paper's §V comparison.
+// method of the index — the paper's Algorithm A, its BWT baseline with
+// φ pruning, the unpruned S-tree, Algorithm A without φ, and the
+// seed-and-extend extension — verifying they agree and printing their
+// work statistics side by side. The paper's text-scanning baselines
+// (Amir's filter, Cole's suffix tree) run in `kmbench -exp`.
 package main
 
 import (
@@ -41,8 +41,8 @@ func main() {
 	}
 
 	methods := []bwtmatch.Method{
-		bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.Amir,
-		bwtmatch.Cole, bwtmatch.Online,
+		bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.STree,
+		bwtmatch.AlgorithmANoPhi, bwtmatch.Seed,
 	}
 	fmt.Printf("%-10s %12s %10s %12s %10s\n", "method", "time/read", "matches", "bwt-steps", "n'-leaves")
 	var reference int

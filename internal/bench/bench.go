@@ -2,7 +2,8 @@
 // corpus of Table 1 (synthetic substitutes, DESIGN.md §4), the wgsim-like
 // read workloads, and one driver per table/figure that prints the same
 // rows/series the paper reports. Both cmd/kmbench and the root package's
-// testing.B benchmarks are thin wrappers over this package.
+// testing.B benchmarks are thin wrappers over this package, the one home
+// of the paper's text-scanning baselines (methods.go).
 package bench
 
 import (
@@ -12,7 +13,9 @@ import (
 
 	"bwtmatch"
 	"bwtmatch/internal/alphabet"
+	"bwtmatch/internal/amir"
 	"bwtmatch/internal/dna"
+	"bwtmatch/internal/suffixtree"
 )
 
 // GenomeSpec describes one synthetic genome of the Table 1 corpus.
@@ -50,12 +53,16 @@ func Specs(scale int) []GenomeSpec {
 	}
 }
 
-// Corpus is one generated genome with its search index.
+// Corpus is one generated genome with its search index. Preparing a
+// baseline Method keeps its structure here; do not prepare concurrently.
 type Corpus struct {
 	Spec      GenomeSpec
 	Ranks     []byte
 	Index     *bwtmatch.Index
 	BuildTime time.Duration
+
+	amir *amir.Matcher
+	cole *suffixtree.Tree
 }
 
 // generate produces the spec's genome (rank-encoded), deterministically.
@@ -104,26 +111,6 @@ func (c *Corpus) Reads(length, count int, seed int64) ([][]byte, error) {
 		out[i] = alphabet.Decode(r.Seq)
 	}
 	return out, nil
-}
-
-// Methods compared in the paper's figures, in its presentation order.
-var Methods = []bwtmatch.Method{
-	bwtmatch.BWTBaseline, bwtmatch.Amir, bwtmatch.Cole, bwtmatch.AlgorithmA,
-}
-
-// TimeMethod runs every read at the given k and returns total wall time
-// and total matches (so the work cannot be optimized away).
-func TimeMethod(idx *bwtmatch.Index, reads [][]byte, k int, method bwtmatch.Method) (time.Duration, int, error) {
-	start := time.Now()
-	total := 0
-	for _, r := range reads {
-		ms, _, err := bwtmatch.SearchMethod(idx, r, k, method)
-		if err != nil {
-			return 0, 0, err
-		}
-		total += len(ms)
-	}
-	return time.Since(start), total, nil
 }
 
 // Config bundles experiment-wide knobs.

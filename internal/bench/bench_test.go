@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bwtmatch"
+	"bwtmatch/internal/alphabet"
+	"bwtmatch/internal/naive"
 )
 
 // tinyConfig keeps harness tests fast: ~64 KiB largest genome, few reads.
@@ -78,7 +82,7 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestTable2SmallGrid(t *testing.T) {
-	// Run table2 on a tiny corpus; it exercises MTreeLeaves end to end.
+	// Run table2 on a tiny corpus; it reads Algorithm A's n′ end to end.
 	var buf bytes.Buffer
 	cfg := Config{Scale: 1024, Reads: 2, Seed: 2}
 	if err := Table2(&buf, cfg); err != nil {
@@ -87,6 +91,68 @@ func TestTable2SmallGrid(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2+4 { // header comment + column header + 4 rows
 		t.Fatalf("unexpected table2 output:\n%s", buf.String())
+	}
+}
+
+// TestTimeMethodExcludesPrepare pins that a method's preparation, such
+// as Cole's suffix tree, stays off the clock: a method whose build
+// sleeps 100 ms and whose search returns at once times under 100 ms.
+func TestTimeMethodExcludesPrepare(t *testing.T) {
+	const build = 100 * time.Millisecond
+	sleepy := Method{Name: "sleepy", Prepare: func(*Corpus) (Search, error) {
+		time.Sleep(build)
+		return func([]byte, int) ([]bwtmatch.Match, error) { return nil, nil }, nil
+	}}
+	d, _, err := TimeMethod(&Corpus{}, [][]byte{[]byte("acgt"), []byte("ttga")}, 1, sleepy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d >= build {
+		t.Fatalf("TimeMethod = %v, includes the %v build", d, build)
+	}
+}
+
+// TestMethodsAgree runs every method of the experiments, the two
+// text-scanning baselines included, on one corpus: each returns the
+// oracle's matches, and a baseline builds its structure once per corpus.
+func TestMethodsAgree(t *testing.T) {
+	c, err := BuildCorpus(Specs(512)[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, err := c.Reads(40, 6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := append(slices.Clone(Methods), IndexMethod(bwtmatch.STree),
+		IndexMethod(bwtmatch.AlgorithmANoPhi), IndexMethod(bwtmatch.Seed))
+	for _, k := range []int{0, 2, 4} {
+		for _, r := range reads {
+			p, _ := alphabet.Encode(r)
+			var want []bwtmatch.Match
+			for _, q := range naive.Find(c.Ranks, p, k) {
+				want = append(want, bwtmatch.Match{Pos: int(q), Mismatches: naive.Hamming(c.Ranks[q:int(q)+len(p)], p, len(p))})
+			}
+			for _, m := range methods {
+				search, err := m.Prepare(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := search(r, k)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%v k=%d: %v (%v), want %v", m, k, got, err, want)
+				}
+			}
+		}
+	}
+	tree, matcher := c.cole, c.amir
+	for _, m := range []Method{Amir, Cole} {
+		if _, err := m.Prepare(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree == nil || matcher == nil || c.cole != tree || c.amir != matcher {
+		t.Error("a baseline rebuilt its structure for the same corpus")
 	}
 }
 

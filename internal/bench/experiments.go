@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"bwtmatch"
@@ -49,7 +50,7 @@ func Fig11a(w io.Writer, cfg Config) error {
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 8, 10} {
 		fmt.Fprintf(w, "%-4d", k)
 		for _, m := range Methods {
-			d, _, err := TimeMethod(c.Index, reads, k, m)
+			d, _, err := TimeMethod(c, reads, k, m)
 			if err != nil {
 				return err
 			}
@@ -82,7 +83,7 @@ func Fig11b(w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintf(w, "%-6d", length)
 		for _, m := range Methods {
-			d, _, err := TimeMethod(c.Index, reads, 5, m)
+			d, _, err := TimeMethod(c, reads, 5, m)
 			if err != nil {
 				return err
 			}
@@ -112,11 +113,11 @@ func Table2(w io.Writer, cfg Config) error {
 		}
 		total := 0
 		for _, r := range reads {
-			n, err := c.Index.MTreeLeaves(r, g.k)
+			_, st, err := bwtmatch.SearchMethod(c.Index, r, g.k, bwtmatch.AlgorithmA)
 			if err != nil {
 				return err
 			}
-			total += n
+			total += st.MTreeLeaves
 		}
 		fmt.Fprintf(w, "%2d/%-9d %15d %15d\n", g.k, g.length, total, total/len(reads))
 	}
@@ -143,7 +144,7 @@ func Fig12(w io.Writer, cfg Config) error {
 		}
 		fmt.Fprintf(w, "%-16s %10d", spec.Name, spec.Bases)
 		for _, m := range Methods {
-			d, _, err := TimeMethod(c.Index, reads, 5, m)
+			d, _, err := TimeMethod(c, reads, 5, m)
 			if err != nil {
 				return err
 			}
@@ -172,7 +173,7 @@ func Fig13(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		d, _, err := TimeMethod(c.Index, reads, 5, bwtmatch.AlgorithmA)
+		d, _, err := TimeMethod(c, reads, 5, IndexMethod(bwtmatch.AlgorithmA))
 		if err != nil {
 			return err
 		}
@@ -199,13 +200,13 @@ func Ablation(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		methods := []bwtmatch.Method{
-			bwtmatch.STree, bwtmatch.BWTBaseline,
-			bwtmatch.AlgorithmANoPhi, bwtmatch.AlgorithmA,
+		methods := []Method{
+			IndexMethod(bwtmatch.STree), IndexMethod(bwtmatch.BWTBaseline),
+			IndexMethod(bwtmatch.AlgorithmANoPhi), IndexMethod(bwtmatch.AlgorithmA),
 		}
 		row := make([]float64, len(methods))
 		for i, m := range methods {
-			d, _, err := TimeMethod(c.Index, reads, k, m)
+			d, _, err := TimeMethod(c, reads, k, m)
 			if err != nil {
 				return err
 			}
@@ -229,7 +230,7 @@ func SeedExt(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	methods := append(append([]bwtmatch.Method(nil), Methods...), bwtmatch.Seed)
+	methods := append(slices.Clone(Methods), IndexMethod(bwtmatch.Seed))
 	fmt.Fprintf(w, "# Extension: index-based seed-and-extend; genome=%s, len=100, reads=%d\n",
 		spec.Name, len(reads))
 	fmt.Fprintf(w, "%-4s", "k")
@@ -240,7 +241,7 @@ func SeedExt(w io.Writer, cfg Config) error {
 	for _, k := range []int{1, 2, 3, 4, 5} {
 		fmt.Fprintf(w, "%-4d", k)
 		for _, m := range methods {
-			d, _, err := TimeMethod(c.Index, reads, k, m)
+			d, _, err := TimeMethod(c, reads, k, m)
 			if err != nil {
 				return err
 			}

@@ -307,24 +307,6 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestCountLeaves(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	text := randomRanks(rng, 2000)
-	s, _ := NewSearcher(text, fmindex.DefaultOptions())
-	pattern := mutate(rng, text, 50, 40, 3)
-	stats, err := s.CountLeaves(NewScratch(), pattern, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MTreeLeaves == 0 {
-		t.Error("CountLeaves found nothing")
-	}
-	// Degenerate inputs are a no-op.
-	if st, err := s.CountLeaves(NewScratch(), nil, 3); err != nil || st.MTreeLeaves != 0 {
-		t.Error("CountLeaves(nil) misbehaved")
-	}
-}
-
 func TestPhiPrunesButPreservesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	text := randomRanks(rng, 5000)

@@ -228,14 +228,3 @@ type leaf struct {
 	iv   fmindex.Interval
 	mism int
 }
-
-// CountLeaves runs Algorithm A with working memory from sc and returns
-// only n′ (Table 2) and stats, without locating occurrences.
-func (s *Searcher) CountLeaves(sc *Scratch, pattern []byte, k int) (Stats, error) {
-	var stats Stats
-	if len(pattern) == 0 || len(pattern) > s.n {
-		return stats, nil
-	}
-	s.traverse(sc, pattern, k, true, true, &stats, nil)
-	return stats, nil
-}

@@ -1,10 +1,6 @@
-// Package naive provides online (index-free) k-mismatch matchers used both
-// as correctness oracles and as the on-line baselines the paper's related
-// work discusses: the O(nm) sliding counter and a Landau–Vishkin style
-// O(kn) kangaroo matcher built on longest-common-extension queries.
+// Package naive provides the index-free k-mismatch oracle every search
+// path is tested against: the O(nm) sliding counter with early exit.
 package naive
-
-import "bwtmatch/internal/suffixarray"
 
 // Hamming returns the number of mismatching positions between a and b,
 // which must have equal length, stopping early once the count exceeds
@@ -33,58 +29,6 @@ func Find(text, pattern []byte, k int) []int32 {
 	}
 	for p := 0; p+m <= len(text); p++ {
 		if Hamming(text[p:p+m], pattern, k) <= k {
-			out = append(out, int32(p))
-		}
-	}
-	return out
-}
-
-// LandauVishkin is an online O(kn) k-mismatch matcher: it preprocesses a
-// generalized LCE structure over pattern#text and verifies each alignment
-// with at most k+1 kangaroo jumps (Landau & Vishkin 1986, the paper's
-// reference [9] family).
-type LandauVishkin struct {
-	lce  *suffixarray.LCE
-	m, n int
-}
-
-// NewLandauVishkin builds the matcher for one pattern/text pair. The
-// concatenation uses a separator byte 0, which must not appear in either
-// rank-encoded input (ranks are 1..4 for DNA payloads).
-func NewLandauVishkin(text, pattern []byte) *LandauVishkin {
-	m, n := len(pattern), len(text)
-	cat := make([]byte, 0, m+1+n)
-	cat = append(cat, pattern...)
-	cat = append(cat, 0)
-	cat = append(cat, text...)
-	return &LandauVishkin{lce: suffixarray.NewLCE(cat), m: m, n: n}
-}
-
-// Mismatches counts mismatches of the alignment at text position p,
-// stopping after limit+1. O(limit) LCE queries.
-func (lv *LandauVishkin) Mismatches(p, limit int) int {
-	d := 0
-	off := 0
-	for off < lv.m {
-		e := lv.lce.Extend(off, lv.m+1+p+off)
-		off += e
-		if off >= lv.m {
-			break
-		}
-		d++
-		if d > limit {
-			return d
-		}
-		off++
-	}
-	return d
-}
-
-// Find returns all 0-based k-mismatch occurrence positions.
-func (lv *LandauVishkin) Find(k int) []int32 {
-	var out []int32
-	for p := 0; p+lv.m <= lv.n; p++ {
-		if lv.Mismatches(p, k) <= k {
 			out = append(out, int32(p))
 		}
 	}

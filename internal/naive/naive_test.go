@@ -1,20 +1,10 @@
 package naive
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"bwtmatch/internal/alphabet"
 )
-
-func randomRanks(rng *rand.Rand, n int) []byte {
-	t := make([]byte, n)
-	for i := range t {
-		t[i] = byte(1 + rng.Intn(4))
-	}
-	return t
-}
 
 func TestHamming(t *testing.T) {
 	a := []byte{1, 2, 3, 4}
@@ -58,61 +48,5 @@ func TestFindEdges(t *testing.T) {
 	// k >= m: every position matches.
 	if got := Find(s, []byte{4, 4}, 2); len(got) != 2 {
 		t.Errorf("k>=m: %v, want 2 positions", got)
-	}
-}
-
-func TestLandauVishkinAgainstFind(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
-		text := randomRanks(rng, 50+rng.Intn(300))
-		pattern := randomRanks(rng, 1+rng.Intn(30))
-		k := rng.Intn(6)
-		lv := NewLandauVishkin(text, pattern)
-		got := lv.Find(k)
-		want := Find(text, pattern, k)
-		if len(got) != len(want) {
-			t.Fatalf("LV found %d, naive %d (k=%d)", len(got), len(want), k)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("LV = %v, naive = %v", got, want)
-			}
-		}
-	}
-}
-
-func TestLandauVishkinMismatchCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	text := randomRanks(rng, 200)
-	pattern := randomRanks(rng, 20)
-	lv := NewLandauVishkin(text, pattern)
-	for p := 0; p+len(pattern) <= len(text); p++ {
-		want := Hamming(text[p:p+len(pattern)], pattern, len(pattern))
-		if got := lv.Mismatches(p, len(pattern)); got != want {
-			t.Fatalf("Mismatches(%d) = %d, want %d", p, got, want)
-		}
-	}
-}
-
-func TestLandauVishkinQuick(t *testing.T) {
-	f := func(seed int64, n8, m8, k8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		text := randomRanks(rng, 1+int(n8))
-		pattern := randomRanks(rng, 1+int(m8)%20)
-		k := int(k8) % 4
-		lv := NewLandauVishkin(text, pattern)
-		got, want := lv.Find(k), Find(text, pattern, k)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }

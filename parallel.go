@@ -89,9 +89,9 @@ func mapQueries(ctx context.Context, queries []Query, workers int, search func(s
 	if workers > n {
 		workers = n
 	}
-	// Cole's suffix tree and the Amir matcher build lazily behind a
-	// sync.Once; run the first query before fan-out so workers never
-	// contend on first use.
+	// Seed's matcher and a relative tenant's rebuilt text build lazily
+	// behind a sync.Once; run the first query before fan-out so workers
+	// never contend on first use.
 	warm := scratchPool.Get().(*Scratch)
 	run(warm, 0)
 	scratchPool.Put(warm)

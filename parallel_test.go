@@ -28,7 +28,7 @@ func TestMapAllMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := makeQueries(rng, target, 60)
-	for _, method := range []Method{AlgorithmA, Amir, Cole} {
+	for _, method := range []Method{AlgorithmA, Seed} {
 		serial := idx.MapAllContext(context.Background(), queries, method, 1)
 		parallel := idx.MapAllContext(context.Background(), queries, method, 8)
 		for i := range queries {

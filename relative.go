@@ -19,9 +19,8 @@ import (
 // payload. It satisfies Matcher through its embedded Index: the
 // search primitive and everything built on it are inherited unchanged.
 //
-// The target text is not stored: Seed, RefSeq and the text-scanning
-// baselines (Amir, Cole, Online) reconstruct it lazily from the
-// delta-bridged BWT on first use.
+// The target text is not stored: Seed and RefSeq reconstruct it lazily
+// from the delta-bridged BWT on first use.
 type RelativeIndex struct {
 	*Index
 	base     *Index

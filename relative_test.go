@@ -412,11 +412,11 @@ func TestRelativizeExisting(t *testing.T) {
 }
 
 // TestHintedBaseOnly checks what LoadRelativeFile keeps of a base it
-// resolves from the container's path hint: no text, rank copy,
-// reference table or Locate samples, a charge of its 2-bit BWT plus its
-// occ checkpoints, and a tenant that re-saves byte-identically. A
-// supplied base is kept whole, and a base file that a full Load
-// rejects fails the hinted load too.
+// resolves from the container's path hint: no text, reference table or
+// Locate samples, a charge of its 2-bit BWT plus its occ checkpoints,
+// and a tenant that re-saves byte-identically. A supplied base is kept
+// whole, and a base file that a full Load rejects fails the hinted load
+// too.
 func TestHintedBaseOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2301))
 	dir := t.TempDir()
@@ -443,7 +443,7 @@ func TestHintedBaseOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := hinted.Base()
-	if b.text != nil || b.textFn != nil || b.ranks != nil || b.refs != nil || !b.searcher.Index().IsRankOnly() {
+	if b.text != nil || b.textFn != nil || b.refs != nil || !b.searcher.Index().IsRankOnly() {
 		t.Fatal("hinted base keeps a text, a reference table or Locate samples")
 	}
 	rows := base.Len() + 1

@@ -16,12 +16,9 @@ import (
 
 // checkPackedOnly requires x to hold its target packed at 2 bits per
 // base, or not at all for a relative tenant whose text no text path has
-// rebuilt, and no rank copy.
+// rebuilt.
 func checkPackedOnly(t *testing.T, name string, x *Index) {
 	t.Helper()
-	if x.ranks != nil {
-		t.Errorf("%s: holds a decoded rank copy of its target", name)
-	}
 	if x.textFn != nil && x.text == nil {
 		return
 	}
@@ -34,8 +31,6 @@ func checkPackedOnly(t *testing.T, name string, x *Index) {
 // route — build, load, a relative tenant, every BWT-path method and
 // Seed, save, RefSeq, the sharded invariant check and a stream append —
 // and requires that no index then holds its target at a byte per base.
-// Then it runs the three methods off the production path, which must
-// answer as the oracle does from one shared rank copy.
 func TestTextResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(2101))
 	dir := t.TempDir()
@@ -146,27 +141,6 @@ func TestTextResidency(t *testing.T) {
 	checkPackedOnly(t, "tenant", tenant.Index)
 	for i := range sh.shards {
 		checkPackedOnly(t, "shard", sh.shards[i].idx)
-	}
-
-	// The off-path methods decode one rank copy on first use and share it.
-	pr := slices.Clone(text[1200:1240])
-	pr[7] = pr[7]%4 + 1
-	pattern := alphabet.Decode(pr)
-	want := oracleMatches(text, pr, 2)
-	var shared *byte
-	for _, method := range []Method{Amir, Cole, Online} {
-		got, _, err := SearchMethod(loaded, pattern, 2, method)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("%v: %v, %v; want %v", method, got, err, want)
-		}
-		if loaded.ranks == nil || !bytes.Equal(loaded.ranks, text) {
-			t.Fatalf("%v: no rank copy of the target", method)
-		}
-		if shared == nil {
-			shared = &loaded.ranks[0]
-		} else if &loaded.ranks[0] != shared {
-			t.Fatalf("%v decoded a second rank copy", method)
-		}
 	}
 }
 

@@ -39,7 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			pattern := append([]byte(nil), target[p:p+m]...)
 			pattern[rng.Intn(m)] = "acgt"[rng.Intn(4)]
 			k := rng.Intn(3)
-			for _, method := range []Method{AlgorithmA, Amir, Cole} {
+			for _, method := range []Method{AlgorithmA, Seed} {
 				a, _, err := SearchMethod(orig, pattern, k, method)
 				if err != nil {
 					t.Fatal(err)

@@ -2,15 +2,11 @@ package bwtmatch
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"bwtmatch/internal/alphabet"
-	"bwtmatch/internal/amir"
 	"bwtmatch/internal/core"
-	"bwtmatch/internal/naive"
 	"bwtmatch/internal/seedext"
-	"bwtmatch/internal/suffixtree"
 )
 
 // Scratch is the reusable working set of the search primitive
@@ -58,13 +54,12 @@ func (sc *Scratch) encode(pattern []byte, k int) ([]byte, error) {
 // is built on: it runs any Method with all working state in sc and
 // appends the matches, sorted by position, to dst (which may be nil).
 // With a warm sc and a dst of sufficient capacity a BWT-path search
-// performs zero heap allocations; the other methods allocate their own
-// working sets.
+// performs zero heap allocations; Seed allocates its own working set.
 //
 // A non-nil tr receives per-query telemetry. For the BWT-path methods
 // it observes the full phase timeline (phi, traverse, locate) and
-// per-event work counters; the other methods run inside a single span
-// named after the method. A nil tr costs nothing.
+// per-event work counters; Seed runs inside a single span named after
+// the method. A nil tr costs nothing.
 func (x *Index) SearchMethodScratch(sc *Scratch, dst []Match, pattern []byte, k int, method Method, tr Tracer) ([]Match, Stats, error) {
 	p, err := sc.encode(pattern, k)
 	if err != nil {
@@ -90,14 +85,16 @@ func (x *Index) search(sc *Scratch, dst []Match, p []byte, k int, method Method,
 		var cs core.Stats
 		cms, cs, err = x.searcher.FindScratch(sc.core, sc.cms[:0], p, k, cm, tr)
 		st.fromCore(cs)
-	} else {
+	} else if method == Seed {
 		if tr != nil {
 			tr.Begin(method.String())
 		}
-		cms, st, err = x.searchBaseline(sc.cms[:0], p, k, method)
+		cms, st, err = x.searchSeed(sc.cms[:0], p, k)
 		if tr != nil {
 			tr.End()
 		}
+	} else {
+		return dst, Stats{}, fmt.Errorf("%w: unknown method %v", ErrInput, method)
 	}
 	sc.cms = cms
 	if err != nil {
@@ -111,67 +108,22 @@ func (x *Index) search(sc *Scratch, dst []Match, p []byte, k int, method Method,
 	return dst, st, nil
 }
 
-// searchBaseline runs one of the methods off the BWT path and appends
-// its matches to dst in position order. Seed reads the packed text; the
-// text-scanning matchers build lazily on first use, over the shared
-// rank copy.
-func (x *Index) searchBaseline(dst []core.Match, p []byte, k int, method Method) ([]core.Match, Stats, error) {
+// searchSeed runs Seed over the packed text, building its matcher on
+// first use, and appends its matches to dst in position order.
+func (x *Index) searchSeed(dst []core.Match, p []byte, k int) ([]core.Match, Stats, error) {
 	var st Stats
-	switch method {
-	case Amir:
-		text, err := x.rankText()
-		if err != nil {
-			return dst, st, err
-		}
-		x.amirOnce.Do(func() { x.amirM = amir.New(text, x.text) })
-		ms, as, err := x.amirM.Find(p, k)
-		if err != nil {
-			return dst, st, fmt.Errorf("%w: %v", ErrInput, err)
-		}
-		st.Candidates = as.Candidates
-		for _, m := range ms {
-			dst = append(dst, core.Match{Pos: m.Pos, Mismatches: m.Mismatches})
-		}
-	case Cole:
-		text, err := x.rankText()
-		if err != nil {
-			return dst, st, err
-		}
-		x.coleOnce.Do(func() { x.coleTree, x.coleErr = suffixtree.Build(text) })
-		if x.coleErr != nil {
-			return dst, st, x.coleErr
-		}
-		pos, visited := x.coleTree.FindK(p, k)
-		st.Visited = visited
-		slices.Sort(pos)
-		for _, q := range pos {
-			dst = append(dst, core.Match{Pos: q, Mismatches: naive.Hamming(text[q:int(q)+len(p)], p, len(p))})
-		}
-	case Seed:
-		text, err := x.packedText()
-		if err != nil {
-			return dst, st, err
-		}
-		x.seedOnce.Do(func() { x.seedM = seedext.New(x.searcher.Index(), text) })
-		ms, ss, err := x.seedM.Find(p, k)
-		if err != nil {
-			return dst, st, err // p is valid, so this is a Locate fault
-		}
-		st.Candidates = ss.Candidates
-		for _, m := range ms {
-			dst = append(dst, core.Match{Pos: m.Pos, Mismatches: m.Mismatches})
-		}
-	case Online:
-		text, err := x.rankText()
-		if err != nil {
-			return dst, st, err
-		}
-		lv := naive.NewLandauVishkin(text, p)
-		for _, q := range lv.Find(k) {
-			dst = append(dst, core.Match{Pos: q, Mismatches: lv.Mismatches(int(q), k)})
-		}
-	default:
-		return dst, st, fmt.Errorf("%w: unknown method %v", ErrInput, method)
+	text, err := x.packedText()
+	if err != nil {
+		return dst, st, err
+	}
+	x.seedOnce.Do(func() { x.seedM = seedext.New(x.searcher.Index(), text) })
+	ms, ss, err := x.seedM.Find(p, k)
+	if err != nil {
+		return dst, st, err // p is valid, so this is a Locate fault
+	}
+	st.Candidates = ss.Candidates
+	for _, m := range ms {
+		dst = append(dst, core.Match{Pos: m.Pos, Mismatches: m.Mismatches})
 	}
 	return dst, st, nil
 }
@@ -203,6 +155,5 @@ func (st *Stats) add(o Stats) {
 	st.PhiSteps += o.PhiSteps
 	st.MemoHits += o.MemoHits
 	st.Candidates += o.Candidates
-	st.Visited += o.Visited
 	st.LocateNS += o.LocateNS
 }

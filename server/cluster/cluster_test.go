@@ -512,6 +512,31 @@ func TestClusterRejects(t *testing.T) {
 	}
 }
 
+// TestBaselineMethodsRejected pins that the wire serves index methods
+// only: the amir, cole and online tokens get 400 "unknown method" from a
+// kmserved worker and from the coordinator alike, so no request can make
+// an index build a text-scanning matcher.
+func TestBaselineMethodsRejected(t *testing.T) {
+	f := newFixture(t, 1, nil)
+	worker := httptest.NewServer(f.workers[0].Handler())
+	t.Cleanup(worker.Close)
+	for _, tier := range []struct{ name, url string }{{"kmserved", worker.URL}, {"coordinator", f.base}} {
+		for _, token := range []string{"amir", "cole", "online"} {
+			body := fmt.Sprintf(`{"index":"g","k":1,"seq":"acgtacgtac","method":%q}`, token)
+			resp, err := http.Post(tier.url+"/v1/search", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e server.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, "unknown method") {
+				t.Errorf("%s %q: status %d, error %q (%v); want 400 unknown method", tier.name, token, resp.StatusCode, e.Error, err)
+			}
+		}
+	}
+}
+
 // TestCoordinatorDrain pins the coordinator's own lifecycle: after
 // Shutdown both probes flip to 503 and new searches are refused.
 func TestCoordinatorDrain(t *testing.T) {

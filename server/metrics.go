@@ -40,7 +40,7 @@ type Metrics struct {
 	IndexesLoaded  atomic.Int64
 	IndexesEvicted atomic.Int64
 
-	perMethod [8]*obs.ShardedHistogram // indexed by bwtmatch.Method
+	perMethod [len(methodTokens)]*obs.ShardedHistogram // indexed by bwtmatch.Method
 }
 
 // NewMetrics builds Metrics with one latency histogram per method, each

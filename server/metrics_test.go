@@ -1,6 +1,10 @@
 package server
 
 import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -74,9 +78,10 @@ func TestMetricsPrometheusValidWhenIdle(t *testing.T) {
 }
 
 // TestMethodNameRoundTrip pins the one wire-method table behind the
-// search API, kmsearch -method and the /metrics labels: every token,
-// plus "" for Algorithm A, parses to its matcher, and MethodName maps
-// the matcher back to its canonical token.
+// search API, the -method help of kmsearch and kmload, and the /metrics
+// labels: every token, plus "" for Algorithm A, parses to its matcher,
+// MethodName maps the matcher back to its canonical token, and a batch
+// sent with the token lands in that token's /metrics series.
 func TestMethodNameRoundTrip(t *testing.T) {
 	cases := []struct {
 		token, canonical string
@@ -86,14 +91,15 @@ func TestMethodNameRoundTrip(t *testing.T) {
 		{"a", "a", bwtmatch.AlgorithmA},
 		{"bwt", "bwt", bwtmatch.BWTBaseline},
 		{"stree", "stree", bwtmatch.STree},
-		{"amir", "amir", bwtmatch.Amir},
-		{"cole", "cole", bwtmatch.Cole},
-		{"online", "online", bwtmatch.Online},
 		{"seed", "seed", bwtmatch.Seed},
 	}
-	if len(cases) != len(methodNames) {
-		t.Fatalf("table covers %d tokens, methodNames has %d", len(cases), len(methodNames))
+	if got, want := MethodTokens(), "a|bwt|stree|seed"; got != want {
+		t.Fatalf("MethodTokens() = %q, want %q", got, want)
 	}
+	s, target := newTestServer(t, Config{}, 2000)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sent := map[string]int{}
 	for _, tc := range cases {
 		m, err := ParseMethod(tc.token)
 		if err != nil || m != tc.method {
@@ -103,9 +109,26 @@ func TestMethodNameRoundTrip(t *testing.T) {
 		if got := MethodName(m); got != tc.canonical {
 			t.Errorf("MethodName(%v) = %q, want %q", m, got, tc.canonical)
 		}
+		body := fmt.Sprintf(`{"index":"g","k":1,"seq":%q,"method":%q}`, target[100:140], tc.token)
+		if resp, b := postJSON(t, ts, "/v1/search", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("method %q: status %d: %s", tc.token, resp.StatusCode, b)
+		}
+		sent[tc.canonical]++
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exposition, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		series := fmt.Sprintf("kmserved_search_latency_ms_count{method=%q} %d", tc.canonical, sent[tc.canonical])
+		if !strings.Contains(string(exposition), series) {
+			t.Errorf("method %q: /metrics lacks %s:\n%s", tc.token, series, exposition)
+		}
 	}
-	if _, err := ParseMethod("quantum"); err == nil {
-		t.Error("unknown method accepted")
+	for _, token := range []string{"quantum", "amir", "cole", "online"} {
+		if _, err := ParseMethod(token); err == nil {
+			t.Errorf("method %q accepted", token)
+		}
 	}
 }
 

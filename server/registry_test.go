@@ -406,10 +406,10 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 		t.Fatalf("base not shared across LoadFile: %+v", relBases)
 	}
 
-	// Both tenants answer one search per method, the text paths
-	// rebuilding each tenant's own text.
+	// Both tenants answer one search per method, Seed rebuilding each
+	// tenant's own text.
 	methods := []bwtmatch.Method{bwtmatch.AlgorithmA, bwtmatch.BWTBaseline, bwtmatch.STree,
-		bwtmatch.AlgorithmANoPhi, bwtmatch.Amir, bwtmatch.Cole, bwtmatch.Online, bwtmatch.Seed}
+		bwtmatch.AlgorithmANoPhi, bwtmatch.Seed}
 	pattern, err := r0.RefSeq(bwtmatch.Ref{Start: 200, Len: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	if got, want := r.Resident(), baseBytes+int64(r0.DeltaBytes()+r1.DeltaBytes()); got != want {
 		t.Fatalf("resident %d, want BWT plus checkpoints %d plus the deltas: %d", got, baseBytes, want)
 	}
-	// No text, no rank copy, no Locate samples and no marks: the base
+	// No text, no Locate samples and no marks: the base
 	// counts nothing beyond its BWT and checkpoints, and no text path
 	// answers on it.
 	b := r0.Base()
@@ -459,8 +459,6 @@ func TestRegistryLoadFileSharedBase(t *testing.T) {
 	}
 	_, err = b.RefSeq(bwtmatch.Ref{Start: 0, Len: 10})
 	refused("RefSeq", err)
-	_, err = b.MTreeLeaves(pattern, 1)
-	refused("MTreeLeaves", err)
 	res := b.MapAllContext(context.Background(), []bwtmatch.Query{{Pattern: pattern, K: 1}}, bwtmatch.AlgorithmA, 1)
 	refused("MapAllContext", res[0].Err)
 }

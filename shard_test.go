@@ -576,17 +576,16 @@ func TestMapShardsContext(t *testing.T) {
 }
 
 // TestShardedNonCoreLengthCheck pins the fix for a latent hazard: the
-// non-core methods (online, stree, ...) go through each shard's own
-// matcher, which does not know the sharded MaxPatternLen bound, so the
-// length check must happen before the per-shard loop or an overlong
-// pattern would silently miss boundary-straddling matches instead of
-// erroring.
+// method off the walk (Seed) goes through each shard's own matcher,
+// which does not know the sharded MaxPatternLen bound, so the length
+// check must happen before the per-shard loop or an overlong pattern
+// would silently miss boundary-straddling matches instead of erroring.
 func TestShardedNonCoreLengthCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(524))
 	target := randomDNA(rng, 800)
 	_, sh := shardedPair(t, target, WithShardSize(200), WithMaxPatternLen(24))
 	long := randomDNA(rng, 25)
-	for _, method := range []Method{AlgorithmA, Online, STree} {
+	for _, method := range []Method{AlgorithmA, Seed, STree} {
 		for _, r := range sh.MapAllContext(context.Background(), []Query{{Pattern: long, K: 1}}, method, 1) {
 			if !errors.Is(r.Err, ErrInput) {
 				t.Errorf("method %v: overlong pattern err %v, want ErrInput", method, r.Err)
